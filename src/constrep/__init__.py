@@ -8,7 +8,8 @@ the free group on two generators. It provides:
 * :mod:`constrep.freegroup` -- reduced words, group-ring elements, parsing
   and canonical printing;
 * :mod:`constrep.linalg` -- eigendecompositions of unitary and hermitian
-  matrices, functional calculus, and certified operator-norm lower bounds;
+  matrices, functional calculus, and the operator norm with its top
+  singular triple, all on LAPACK;
 * :mod:`constrep.representation` -- constrained pairs, evaluation of ring
   elements, the spectral deformation and exact retraction between
   constraint levels, and JSON persistence;
@@ -36,7 +37,6 @@ from .freegroup import (
 from .linalg import (
     NonHermitianError,
     NonUnitaryError,
-    PowerIterationWarning,
     apply_circle_function,
     apply_hermitian_function,
     hermitian_eig,
@@ -114,7 +114,6 @@ __all__ = [
     # linalg
     "NonHermitianError",
     "NonUnitaryError",
-    "PowerIterationWarning",
     "apply_circle_function",
     "apply_hermitian_function",
     "hermitian_eig",

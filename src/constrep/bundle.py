@@ -2,11 +2,13 @@
 
 The ball of radius R in the Cayley graph of the free group on two
 generators is a finite piece of the 4-regular tree with 2 * 3**R - 1
-vertices. Its adjacency operator converges in norm to 2 * sqrt(3) as R
-grows, the classical spectral radius of the tree, and this module builds
-the sparse adjacency matrices, computes their norms, and compares curve
-estimates against that reference line. It also serializes estimated norm
-curves as CSV and renders them as deterministic SVG plots.
+vertices. Its adjacency norm increases with R to 2 * sqrt(3), the spectral
+radius of the tree (Kesten 1959). The norm comes from an (R+1) x (R+1)
+radial Jacobi matrix, whose size grows with R rather than with the vertex
+count; the sparse adjacency matrix itself is built only as a small-depth
+cross-check. The module also compares curve estimates against the
+reference line and serializes estimated norm curves as CSV and
+deterministic SVG plots.
 """
 
 from __future__ import annotations
@@ -15,15 +17,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .freegroup import averaging_element
 from .optimize import one_dim_oracle
 
 KESTEN_NORM = 2.0 * math.sqrt(3.0)
 MAX_BALL_DEPTH = 14
-_BALL_NORM_TOL = 1e-9
-_BALL_NORM_MAX_ITER = 100_000
+
+
+def _check_depth(depth):
+    depth = int(depth)
+    if not 1 <= depth <= MAX_BALL_DEPTH:
+        raise ValueError(f"depth must lie in [1, {MAX_BALL_DEPTH}], got {depth}")
+    return depth
 
 
 def ball_vertex_count(depth):
@@ -43,9 +49,9 @@ def cayley_ball(depth):
     their parent. The graph is a tree: the root has degree 4, interior
     vertices degree 4, boundary vertices degree 1.
     """
-    depth = int(depth)
-    if not 1 <= depth <= MAX_BALL_DEPTH:
-        raise ValueError(f"depth must lie in [1, {MAX_BALL_DEPTH}], got {depth}")
+    from scipy.sparse import csr_matrix
+
+    depth = _check_depth(depth)
 
     # Letters are coded 0..3 as u, u^-1, v, v^-1; the inverse of code k is
     # k ^ 1. Levels are generated breadth-first; each vertex stores the code
@@ -86,35 +92,25 @@ def cayley_ball(depth):
 def cayley_ball_norm(depth):
     """Operator norm of the radius-``depth`` ball adjacency matrix.
 
-    The ball is bipartite, so power iteration runs on the square of the
-    adjacency matrix (whose top eigenvalue is the squared norm) to avoid
-    the sign oscillation of the raw matrix.
+    The ball is connected, so by Perron-Frobenius its top eigenvalue is the
+    norm and has a positive eigenvector, unique up to scale. Automorphisms
+    fixing the root permute each sphere transitively and fix that vector,
+    so it is radial (Kesten 1959). On radial vectors, normalized by the
+    square roots of the sphere sizes 1, 4, 12, 36, ..., the adjacency acts
+    as the (R+1) x (R+1) Jacobi matrix with zero diagonal and off-diagonal
+    sqrt(|S_{k+1}| / |S_k|): 2 from the root, sqrt(3) after. Its top
+    eigenvalue is the norm.
     """
-    adjacency = cayley_ball(depth)
-    n = adjacency.shape[0]
-    vec = np.full(n, 1.0 / math.sqrt(n))
-    theta = 0.0
-    for _ in range(_BALL_NORM_MAX_ITER):
-        squared = adjacency @ (adjacency @ vec)
-        norm = float(np.linalg.norm(squared))
-        if norm == 0.0:
-            break
-        vec_next = squared / norm
-        theta = float(vec_next @ (adjacency @ (adjacency @ vec_next)))
-        residual = float(
-            np.linalg.norm(adjacency @ (adjacency @ vec_next) - theta * vec_next)
-        )
-        vec = vec_next
-        if theta > 0.0 and residual <= _BALL_NORM_TOL * theta:
-            break
-    return math.sqrt(max(theta, 0.0))
+    depth = _check_depth(depth)
+    off = np.full(depth, math.sqrt(3.0))
+    off[0] = 2.0
+    jacobi = np.diag(off, 1) + np.diag(off, -1)
+    return float(np.linalg.eigvalsh(jacobi)[-1])
 
 
 def ball_norm_table(max_depth):
     """Norms of the balls for depths 1..max_depth, as a list of floats."""
-    max_depth = int(max_depth)
-    if not 1 <= max_depth <= MAX_BALL_DEPTH:
-        raise ValueError(f"max_depth must lie in [1, {MAX_BALL_DEPTH}]")
+    max_depth = _check_depth(max_depth)
     return [cayley_ball_norm(depth) for depth in range(1, max_depth + 1)]
 
 

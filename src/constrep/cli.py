@@ -275,12 +275,9 @@ def _run_verify(args):
 
 
 def _run_kesten(args):
-    depth = args.depth
-    if not 1 <= depth <= bundle.MAX_BALL_DEPTH:
-        raise ValueError(f"depth must lie in [1, {bundle.MAX_BALL_DEPTH}], got {depth}")
+    norms = bundle.ball_norm_table(args.depth)
     print("depth vertices norm")
-    for radius in range(1, depth + 1):
-        norm = bundle.cayley_ball_norm(radius)
+    for radius, norm in enumerate(norms, start=1):
         print("%d %d %.9g" % (radius, bundle.ball_vertex_count(radius), norm))
     print("reference %.9g" % bundle.KESTEN_NORM)
     return 0

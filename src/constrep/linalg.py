@@ -1,9 +1,10 @@
-"""Dense complex spectral kernel.
+"""Dense complex spectral kernel, on LAPACK.
 
 Provides the few linear-algebra primitives everything else is built on:
 Hermitian and unitary eigendecompositions, functional calculus on the unit
-circle and on the real line, a power-iteration operator norm that also
-returns the top singular pair, and Haar-random unitaries.
+circle and on the real line, the operator norm and the top singular triple
+(both from one SVD, so no result depends on an iteration cap), and
+Haar-random unitaries.
 
 A unitary matrix is diagonalized through the commuting Hermitian pair
 H = (W + W*)/2 and S = (W - W*)/(2i): eigenvectors of H are refined inside
@@ -15,7 +16,6 @@ to the unit circle.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +24,6 @@ HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-8
 CLUSTER_TOL = 1e-8
 
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 10_000
-
 
 class NonHermitianError(ValueError):
     """Input matrix is not Hermitian within tolerance."""
@@ -34,10 +31,6 @@ class NonHermitianError(ValueError):
 
 class NonUnitaryError(ValueError):
     """Input matrix is not unitary within tolerance."""
-
-
-class PowerIterationWarning(RuntimeWarning):
-    """Power iteration hit its iteration cap; the best estimate was returned."""
 
 
 def _as_square(a):
@@ -152,104 +145,20 @@ def project_to_unitary(w):
     return unitary_eig(w).reconstruct()
 
 
-def _power_iteration(a, tol, max_iter):
-    """Power iteration on A*A. Returns (theta, v, iterations, converged)."""
-    n = a.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
-    theta = 0.0
-    best_theta = 0.0
-    best_v = v
-    prev_resid = np.inf
-    restarts = 0
-    it = 0
-    while it < max_iter:
-        av = a @ v
-        bv = a.conj().T @ av
-        theta = float(np.real(np.vdot(v, bv)))
-        resid = float(np.linalg.norm(bv - theta * v))
-        if theta > best_theta:
-            best_theta, best_v = theta, v
-        if resid <= tol * max(theta, np.finfo(float).tiny):
-            return theta, v, it, True
-        norm_bv = float(np.linalg.norm(bv))
-        if norm_bv == 0.0:
-            # v is exactly in the kernel of A*A; restart unless exhausted.
-            if restarts >= 2:
-                return best_theta, best_v, it, best_theta == 0.0
-            rng = np.random.default_rng(0xC0FFEE + restarts)
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            restarts += 1
-            it += 1
-            continue
-        v = bv / norm_bv
-        it += 1
-        # Stagnation check every 200 iterations: no meaningful residual
-        # progress means the start vector is fighting a near-degenerate or
-        # deflated direction; re-seed a couple of times.
-        if it % 200 == 0:
-            if resid > 0.9 * prev_resid and restarts < 2:
-                rng = np.random.default_rng(0xC0FFEE + restarts)
-                v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                v /= np.linalg.norm(v)
-                restarts += 1
-            prev_resid = resid
-    return max(best_theta, theta), best_v if best_theta > theta else v, it, False
-
-
-def top_singular_triple(a, tol=_POWER_TOL, max_iter=_POWER_MAX_ITER):
+def top_singular_triple(a):
     """Largest singular value of A with its left/right singular vectors.
 
-    Power iteration on A*A from the normalized all-ones vector. Returns
-    ``(sigma, left, right, converged)``. The all-ones start can coincide with
-    an exact non-top eigenvector, so a suspiciously instant convergence
-    triggers one seeded random re-run and the larger value wins; the reported
-    value is a Rayleigh quotient either way, hence never an overestimate.
+    One LAPACK SVD. Returns ``(sigma, left, right, converged)`` with
+    ``left^* A right = sigma``, so the triple certifies its own value;
+    ``converged`` is always True and is kept for callers that read it.
     """
-    a = _as_square(a)
-    n = a.shape[0]
-    theta, v, iterations, converged = _power_iteration(a, tol, max_iter)
-    if converged and iterations <= 3 and n > 1:
-        rng = np.random.default_rng(0x5EED)
-        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        start /= np.linalg.norm(start)
-        b = a.conj().T @ a
-        v2 = start
-        theta2 = 0.0
-        for it2 in range(max_iter):
-            bv = b @ v2
-            theta2 = float(np.real(np.vdot(v2, bv)))
-            resid = float(np.linalg.norm(bv - theta2 * v2))
-            if resid <= tol * max(theta2, np.finfo(float).tiny):
-                break
-            norm_bv = float(np.linalg.norm(bv))
-            if norm_bv == 0.0:
-                break
-            v2 = bv / norm_bv
-        if theta2 > theta:
-            theta, v = theta2, v2
-    sigma = float(np.sqrt(max(theta, 0.0)))
-    av = a @ v
-    norm_av = float(np.linalg.norm(av))
-    left = av / norm_av if norm_av > 0 else np.zeros_like(v)
-    return sigma, left, v, converged
+    left, s, right_h = np.linalg.svd(_as_square(a))
+    return float(s[0]), left[:, 0], right_h[0].conj(), True
 
 
 def operator_norm(a):
-    """Operator (spectral) norm of a square complex matrix.
-
-    Computed by power iteration on A*A; warns with
-    :class:`PowerIterationWarning` and returns the best estimate if the
-    iteration cap is exhausted.
-    """
-    sigma, _, _, converged = top_singular_triple(a)
-    if not converged:
-        warnings.warn(
-            "power iteration hit the iteration cap; returning best estimate",
-            PowerIterationWarning,
-            stacklevel=2,
-        )
-    return sigma
+    """Operator (spectral) norm of a square complex matrix: its top singular value."""
+    return float(np.linalg.svd(_as_square(a), compute_uv=False)[0])
 
 
 def haar_unitary(dim, rng):

@@ -22,7 +22,6 @@ from .linalg import (
     apply_circle_function,
     apply_hermitian_function,
     haar_unitary,
-    operator_norm,
     project_to_unitary,
     unitarity_defect,
 )
@@ -52,7 +51,7 @@ class Representation:
         for name, mat in (("u", u), ("v", v)):
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"image of {name} must be a square matrix")
-            if not np.all(np.isfinite(mat.view(float))):
+            if not np.all(np.isfinite(mat)):
                 raise ValueError(f"image of {name} has non-finite entries")
         if u.shape != v.shape:
             raise ValueError("generator images must have equal dimensions")
@@ -99,9 +98,13 @@ def evaluate(rep, element):
 
 
 def constraint_value(rep):
-    """||U + U* + V + V*||, clamped into [0, 4] (the range for unitary pairs)."""
+    """||U + U* + V + V*||, clamped into [0, 4] (the range for unitary pairs).
+
+    The sum is Hermitian, so its norm is its largest |eigenvalue|.
+    """
     x = rep.u + rep.u.conj().T + rep.v + rep.v.conj().T
-    value = operator_norm(x)
+    eigenvalues = np.linalg.eigvalsh(x)
+    value = max(-float(eigenvalues[0]), float(eigenvalues[-1]))
     return min(max(value, 0.0), 4.0)
 
 

@@ -1,7 +1,14 @@
 """Cayley-ball benchmarks and curve export formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import constrep
 
 from constrep.bundle import (
     CSV_HEADER,
@@ -49,6 +56,10 @@ def test_ball_depth_guards():
     with pytest.raises(ValueError):
         cayley_ball(15)
     with pytest.raises(ValueError):
+        cayley_ball_norm(0)
+    with pytest.raises(ValueError):
+        cayley_ball_norm(15)
+    with pytest.raises(ValueError):
         ball_norm_table(0)
 
 
@@ -66,7 +77,22 @@ def test_ball_norm_matches_dense_eigensolver(depth):
     got = cayley_ball_norm(depth)
     dense = cayley_ball(depth).toarray()
     want = float(np.linalg.eigvalsh(dense)[-1])
-    assert abs(got - want) < 1e-8
+    assert abs(got - want) < 1e-12
+
+
+def test_import_leaves_scipy_submodules_unloaded():
+    # scipy.sparse is loaded only when a ball's adjacency matrix is built
+    src = str(Path(constrep.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, constrep; "
+        "print(sorted(m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_ball_norms_increase_toward_tree_norm():

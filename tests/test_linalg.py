@@ -7,7 +7,6 @@ import scipy.linalg
 from constrep.linalg import (
     NonHermitianError,
     NonUnitaryError,
-    PowerIterationWarning,
     apply_circle_function,
     apply_hermitian_function,
     hermitian_eig,
@@ -19,6 +18,7 @@ from constrep.linalg import (
     unitary_exponential,
     unitarity_defect,
 )
+from constrep.representation import Representation, constraint_value
 
 
 def _random_complex(dim, seed):
@@ -79,23 +79,73 @@ def test_operator_norm_survives_symmetric_start_trap():
     assert abs(operator_norm(a) - 3.0) < 1e-9
 
 
-def test_operator_norm_warns_when_uncertified():
-    # two top singular values closer than the solver can separate within
-    # its iteration budget
+def test_operator_norm_separates_near_degenerate_top_pair():
+    # two top singular values 1e-7 apart, which defeats power iteration
     a = np.diag([1.0, 1.0 - 1e-7, 0.5]).astype(complex)
-    with pytest.warns(PowerIterationWarning):
-        value = operator_norm(a)
-    assert abs(value - 1.0) < 1e-6
+    assert abs(operator_norm(a) - 1.0) < 1e-12
+    sigma, left, right, converged = top_singular_triple(a)
+    assert converged
+    assert abs(sigma - 1.0) < 1e-12
+
+
+def _assert_certified_triple(a):
+    sigma, left, right, converged = top_singular_triple(a)
+    assert converged
+    assert abs(sigma - np.linalg.norm(a, 2)) < 1e-12
+    # the triple realizes its value, so sigma is a true lower bound
+    assert abs(complex(left.conj() @ (a @ right)).real - sigma) < 1e-12
+    assert abs(np.linalg.norm(left) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(right) - 1.0) < 1e-12
 
 
 def test_top_singular_triple_certificate():
-    a = _random_complex(5, 11)
-    sigma, left, right, converged = top_singular_triple(a)
-    assert converged
-    # the triple realizes its value, so sigma is a true lower bound
-    assert abs(complex(left.conj() @ (a @ right)).real - sigma) < 1e-9
-    assert abs(np.linalg.norm(left) - 1.0) < 1e-12
-    assert abs(np.linalg.norm(right) - 1.0) < 1e-12
+    _assert_certified_triple(_random_complex(5, 11))
+
+
+def test_haar_generator_sums_match_lapack():
+    # d = 16 generator sums have near-degenerate +-lambda spectra; a power
+    # iteration capped at 10^4 steps was off by up to 1.6e-6 on 4 of these
+    for seed in range(200):
+        rep = Representation(random_unitary(16, seed), random_unitary(16, seed + 1000))
+        x = rep.u + rep.u.conj().T + rep.v + rep.v.conj().T
+        assert abs(constraint_value(rep) - np.linalg.norm(x, 2)) < 1e-12
+        _assert_certified_triple(x)
+        _assert_certified_triple(rep.u @ rep.v + 2.0 * rep.v.conj().T)
+
+
+def _plus_minus_one_unitary(diagonal, seed=5):
+    q = random_unitary(len(diagonal), seed=seed)
+    return q @ np.diag(np.asarray(diagonal, dtype=complex)) @ q.conj().T
+
+
+def test_spectral_edge_cases():
+    w = _plus_minus_one_unitary([1, -1, 1, -1, 1j, -1j])
+    edge_cases = [
+        w,
+        w + w.conj().T,
+        np.eye(4, dtype=complex),
+        np.kron(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.25]])).astype(complex),
+        np.array([[-3.0 + 4.0j]]),
+        np.zeros((1, 1), dtype=complex),
+        np.zeros((4, 4), dtype=complex),
+    ]
+    for a in edge_cases:
+        _assert_certified_triple(a)
+        assert abs(operator_norm(a) - np.linalg.norm(a, 2)) < 1e-12
+
+
+def test_constraint_value_edge_cases():
+    # eigenvalues exactly at +-1 (and +-i) make the generator sum's spectrum
+    # exactly symmetric: diag(4, -4, 0, 0, 0, 0) up to the shared basis
+    u = _plus_minus_one_unitary([1, -1, 1, -1, 1j, -1j])
+    v = _plus_minus_one_unitary([1, -1, -1, 1, 1j, -1j])
+    assert abs(constraint_value(Representation(u, v)) - 4.0) < 1e-12
+    assert abs(constraint_value(Representation(u, u.conj().T)) - 4.0) < 1e-12
+    eye = np.eye(3, dtype=complex)
+    assert constraint_value(Representation(eye, eye)) == 4.0
+    assert abs(constraint_value(Representation(eye, -eye))) < 1e-12
+    one = np.array([[1j]])
+    assert abs(constraint_value(Representation(one, one))) < 1e-12
 
 
 def test_apply_circle_function_identity_and_square():

@@ -138,6 +138,26 @@ def test_retract_hits_target_exactly(mu):
     assert abs(constraint_value(pulled) - mu) < 1e-8
 
 
+@pytest.mark.parametrize("mu", [0.0, 2.0, 4.0])
+def test_retract_lands_on_target_with_eigenvalues_at_plus_minus_one(mu):
+    # U and V share an eigenbasis with eigenvalues exactly at +-1 and +-i,
+    # so the generator sum is diag(4, -4, 0, 0, 0, 0) in that basis
+    q = random_unitary(6, seed=5)
+    u = q @ np.diag([1, -1, 1, -1, 1j, -1j]) @ q.conj().T
+    v = q @ np.diag([1, -1, -1, 1, 1j, -1j]) @ q.conj().T
+    rep = Representation(u, v)
+    assert abs(constraint_value(rep) - 4.0) < 1e-12
+    pulled = retract_to(rep, mu)
+    assert abs(constraint_value(pulled) - mu) < 1e-12
+    assert max(unitarity_defect(pulled.u), unitarity_defect(pulled.v)) < 1e-12
+
+
+def test_validation_accepts_transposed_views():
+    u = random_unitary(3, seed=2)
+    rep = Representation(u, u.conj().T)
+    assert np.allclose(rep.u @ rep.v, np.eye(3))
+
+
 def test_retract_to_zero_gives_anticommuting_sums():
     rep = random_constrained(4, 4.0, seed=23)
     pulled = retract_to(rep, 0.0)
