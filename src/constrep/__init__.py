@@ -13,8 +13,9 @@ the free group on two generators. It provides:
 * :mod:`constrep.representation` -- constrained pairs, evaluation of ring
   elements, the spectral deformation and exact retraction between
   constraint levels, and JSON persistence;
-* :mod:`constrep.optimize` -- projected-ascent estimation of constrained
-  norms with deterministic seeding and one-dimensional oracles;
+* :mod:`constrep.optimize` -- certified brackets for constrained norms:
+  projected-ascent lower bounds with deterministic seeding and
+  one-dimensional oracles, l1 and radial spectral upper bounds;
 * :mod:`constrep.homotopy` -- sampled circle loops, winding numbers, the
   wedge construction whose images annihilate the averaging element, and
   the rotation/character homotopies with their exact scaling laws;
@@ -67,6 +68,7 @@ from .optimize import (
     estimate_norm,
     norm_curve,
     one_dim_oracle,
+    upper_bound,
 )
 from .homotopy import (
     CircleSamples,
@@ -142,6 +144,7 @@ __all__ = [
     "estimate_norm",
     "norm_curve",
     "one_dim_oracle",
+    "upper_bound",
     # homotopy
     "CircleSamples",
     "WedgeMatrix",

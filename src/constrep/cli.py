@@ -234,6 +234,8 @@ def _run_estimate(args):
     print("element: %s" % format_element(args.element))
     print("mu: %.9g" % args.mu)
     print("norm_estimate: %.9g" % estimate.value)
+    print("upper: %.9g" % estimate.upper)
+    print("gap: %.9g" % estimate.gap)
     print("dim: %d" % estimate.dim_used)
     print("restart_index: %d" % estimate.restart_index)
     print("steps: %d" % estimate.steps)

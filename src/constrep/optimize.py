@@ -1,10 +1,18 @@
-"""Lower-bound estimation of constrained norms by multi-start ascent.
+"""Certified brackets for constrained norms: multi-start ascent below, spectral bounds above.
 
 For a group-ring element a and level mu, the quantity of interest is the
 supremum of ||pi(a)|| over mu-constrained unitary pairs pi. Every feasible
 pair certifies a lower bound, so the estimator runs projected subgradient
-ascent from many starts and reports the best witness it finds. Values are
-certified lower bounds; nothing here claims the supremum is attained.
+ascent from many starts and reports the best witness it finds.
+
+Every estimate also carries a certified upper bound (:func:`upper_bound`):
+the coefficient l1 norm, and for a radial element, whose coefficient depends
+only on word length, max |q(s)| over |s| <= mu, where the element is q(x)
+for x = u + u^-1 + v + v^-1 and spec pi(x) lies in [-mu, mu]. Once the best
+value reaches the upper bound to within ``stall_tolerance`` the bracket is
+closed and the search stops: the running start stops stepping and no
+further fresh start is built. Pool witnesses are still scored, without
+steps, so that a curve stays exactly monotone.
 
 Ascent direction: with (sigma, xi, eta) the top singular triple of pi(a),
 the derivative of sigma along U -> exp(i s H) U is <H, G_U> for the
@@ -17,9 +25,7 @@ size decays geometrically.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +37,14 @@ from .representation import (
     one_dim_rep,
     retract_to,
 )
-from .linalg import haar_unitary, top_singular_triple, unitary_exponential
-
-THREADS_ENV_VAR = "CONSTRAINED_REP_THREADS"
+from .linalg import (
+    NonUnitaryError,
+    UNITARY_TOL,
+    haar_unitary,
+    top_singular_triple,
+    unitarity_defect,
+    unitary_exponential,
+)
 
 _STALL_WINDOW = 25
 _GRADIENT_FLOOR = 1e-14
@@ -73,11 +84,13 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Best certified lower bound found for one element and level.
+    """Certified bracket [value, upper] for one element and level.
 
     ``value`` equals the computed operator norm of the witness image;
-    ``restart_index`` is the index of the winning start in the deterministic
-    candidate order (oracle argmax, pool entries, fresh starts).
+    ``upper`` is :func:`upper_bound` of the element; ``restart_index`` is
+    the index of the winning start in the deterministic candidate order
+    (oracle argmax, pool entries, fresh starts). ``converged`` is true when
+    the winning start stalled or the bracket closed.
     """
 
     value: float
@@ -86,6 +99,12 @@ class NormEstimate:
     restart_index: int
     steps: int
     converged: bool
+    upper: float
+
+    @property
+    def gap(self):
+        """Width of the bracket, never negative."""
+        return max(0.0, self.upper - self.value)
 
 
 @dataclass(frozen=True)
@@ -100,19 +119,6 @@ class NormCurve:
     @property
     def values(self):
         return tuple(e.value for e in self.estimates)
-
-
-def _threads():
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-        ) from exc
-    return max(0, n)
 
 
 # --------------------------------------------------------------------------
@@ -183,6 +189,79 @@ def one_dim_oracle_argmax(element, mu, grid_n=720):
 
 
 # --------------------------------------------------------------------------
+# Certified upper bounds
+# --------------------------------------------------------------------------
+
+
+def _radial_coefficients(element):
+    """Sphere coefficients [c_0, ..., c_n] of a radial element, else None.
+
+    Radial means that each word length present carries its whole sphere in
+    the Cayley tree (1 word for length 0, 4*3^(n-1) for length n >= 1), all
+    with one coefficient. The cost is O(terms): a sphere of radius n holds at
+    least n words, so no sphere size beyond the term count is computed.
+    """
+    spheres = {}
+    for word, coeff in element.terms.items():
+        spheres.setdefault(len(word), []).append(coeff)
+    top = max(spheres, default=0)
+    if top > len(element.terms):
+        return None
+    coeffs = [0j] * (top + 1)
+    for n, values in spheres.items():
+        size = 1 if n == 0 else 4 * 3 ** (n - 1)
+        if len(values) != size or len(set(values)) != 1:
+            return None
+        coeffs[n] = values[0]
+    return coeffs
+
+
+def _x_polynomial(coeffs):
+    """q with sum_n c_n chi_n = q(x), highest power first.
+
+    The sphere sums satisfy chi_n = P_n(x) with P_0 = 1, P_1 = s,
+    P_2 = s^2 - 4 and P_(n+1) = s P_n - 3 P_(n-1), from x chi_1 = chi_2 + 4
+    and x chi_n = chi_(n+1) + 3 chi_(n-1) for n >= 2.
+    """
+    s = np.array([1.0, 0.0])
+    spheres = [np.array([1.0]), s]
+    for n in range(1, len(coeffs) - 1):
+        shift = 4.0 if n == 1 else 3.0
+        spheres.append(np.polysub(np.polymul(s, spheres[n]), shift * spheres[n - 1]))
+    q = np.zeros(1, dtype=complex)
+    for c, p in zip(coeffs, spheres):
+        q = np.polyadd(q, c * p)
+    return q
+
+
+def _interval_max_abs(q, mu):
+    """max |q(s)| over real |s| <= mu: the endpoints and critical points of |q|^2."""
+    # On the real line |q|^2 = q * conj(q), a polynomial with real coefficients.
+    slope = np.polyder(np.polymul(q, q.conj()).real)
+    points = np.concatenate(([-mu, mu], np.clip(np.roots(slope).real, -mu, mu)))
+    return float(np.max(np.abs(np.polyval(q, points))))
+
+
+def upper_bound(element, mu):
+    """Certified upper bound for ||pi(element)|| over mu-constrained pairs.
+
+    Always the coefficient l1 norm (triangle inequality). A radial element
+    is q(x) for x = u + u^-1 + v + v^-1 and a polynomial q; spec pi(x) lies
+    in [-mu, mu], so by the spectral theorem ||pi(q(x))|| <= max |q(s)| over
+    |s| <= mu, and 1-dimensional pairs with 2cos(theta) + 2cos(phi) = s
+    attain it. The smaller of the two bounds is returned.
+    """
+    if not isinstance(element, GroupRingElement):
+        raise TypeError("expected a GroupRingElement")
+    mu = check_mu(mu)
+    bound = float(element.coefficient_l1())
+    coeffs = _radial_coefficients(element)
+    if coeffs is not None:
+        bound = min(bound, _interval_max_abs(_x_polynomial(coeffs), mu))
+    return bound
+
+
+# --------------------------------------------------------------------------
 # Subgradient ascent
 # --------------------------------------------------------------------------
 
@@ -231,12 +310,14 @@ def _subgradient(element, rep, left, right):
     return g_u, g_v
 
 
-def _ascend(element, mu, start, config):
+def _ascend(element, mu, start, config, target=np.inf):
     """Projected subgradient ascent from one feasible start.
 
-    Returns (value, witness, steps, converged). The best value is monotone;
-    convergence means the trailing 25-iteration window improved it by less
-    than the stall tolerance (or the gradient vanished).
+    Returns (value, witness, steps, converged). The best value is monotone
+    and the ascent stops stepping once it reaches ``target``; a target of
+    -inf scores the start without a step. Convergence means the target was
+    reached, the trailing 25-iteration window improved the value by less
+    than the stall tolerance, or the gradient vanished.
     """
     current = start
     value, left, right = _objective(element, current)
@@ -245,13 +326,16 @@ def _ascend(element, mu, start, config):
     converged = False
     steps = 0
     for k in range(1, config.max_steps + 1):
+        if value >= target:
+            break
         g_u, g_v = _subgradient(element, current, left, right)
         scale = float(np.sqrt(np.linalg.norm(g_u) ** 2 + np.linalg.norm(g_v) ** 2))
         if scale < _GRADIENT_FLOOR:
             steps = k
             converged = True
             break
-        proposal = Representation(
+        # Products of unitaries: validated once, on the estimate's witness.
+        proposal = Representation._unchecked(
             unitary_exponential(g_u / scale, step) @ current.u,
             unitary_exponential(g_v / scale, step) @ current.v,
         )
@@ -272,37 +356,42 @@ def _ascend(element, mu, start, config):
             converged = (
                 history[-1] - history[-1 - _STALL_WINDOW] < config.stall_tolerance
             )
-    return value, current, steps, converged
+    return value, current, steps, converged or value >= target
 
 
 def _candidate_starts(element, mu, config, pool):
-    """Deterministic ordered list of ascent starts.
+    """Ascent starts in their deterministic order, built one at a time.
 
     Order: torus-oracle argmax (when dimension 1 is in play), retracted pool
-    witnesses, then fresh Haar starts dim-major / restart-minor.
+    witnesses, then fresh Haar starts dim-major / restart-minor. Each fresh
+    start has its own seed, so a start does not depend on how many were
+    built before it.
     """
-    starts = []
     if 1 in config.dims:
         _, theta, phi = one_dim_oracle_argmax(element, mu, config.oracle_grid)
-        starts.append(one_dim_rep(theta, phi))
+        yield one_dim_rep(theta, phi)
     for witness in pool:
-        starts.append(retract_to(witness, mu))
+        yield retract_to(witness, mu)
     for dim in config.dims:
         for restart in range(config.restarts):
             seed = np.random.SeedSequence((int(config.seed), dim, restart))
             rng = np.random.default_rng(seed)
             u = haar_unitary(dim, rng)
             v = haar_unitary(dim, rng)
-            starts.append(retract_to(Representation(u, v), mu))
-    return starts
+            yield retract_to(Representation(u, v), mu)
 
 
 def estimate_norm(element, mu, config=None, pool=()):
-    """Best lower bound for ||pi(element)|| over mu-constrained pairs.
+    """Certified bracket [value, upper] for ||pi(element)|| over mu-constrained pairs.
 
-    Runs ascent from every candidate start and keeps the best final value;
-    exact ties go to the earliest candidate, so results are reproducible and
-    independent of the CONSTRAINED_REP_THREADS cap.
+    Ascends from the candidate starts in order and keeps the best final
+    value; exact ties go to the earliest candidate, so results are
+    reproducible. Every start stops stepping at ``upper - stall_tolerance``.
+    Once the best value reaches it the bracket is closed: no further fresh
+    start is built, and the remaining pool witnesses are scored at their
+    start value without steps. They are still scored because a witness of a
+    lower level may beat the closing value by less than the tolerance, and
+    :func:`norm_curve` is monotone only if the best pool entry always counts.
     """
     if config is None:
         config = OptimizerConfig()
@@ -311,23 +400,23 @@ def estimate_norm(element, mu, config=None, pool=()):
         raise TypeError("expected a GroupRingElement")
     if element.is_zero:
         raise ValueError("cannot estimate the norm of the zero element")
-    starts = _candidate_starts(element, mu, config, pool)
-
-    def task(start):
-        return _ascend(element, mu, start, config)
-
-    n_threads = _threads()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool_exec:
-            results = list(pool_exec.map(task, starts))
-    else:
-        results = [task(start) for start in starts]
-
-    best_index = 0
-    for i in range(1, len(results)):
-        if results[i][0] > results[best_index][0]:
-            best_index = i
-    value, witness, steps, converged = results[best_index]
+    upper = upper_bound(element, mu)
+    target = upper - config.stall_tolerance
+    n_before_fresh = (1 in config.dims) + len(pool)
+    stop = target
+    best, best_index = None, 0
+    for index, start in enumerate(_candidate_starts(element, mu, config, pool)):
+        result = _ascend(element, mu, start, config, stop)
+        if best is None or result[0] > best[0]:
+            best, best_index = result, index
+        if best[0] >= target:
+            stop = -np.inf
+            if index + 1 >= n_before_fresh:
+                break
+    value, witness, steps, converged = best
+    defect = max(unitarity_defect(witness.u), unitarity_defect(witness.v))
+    if defect > UNITARY_TOL:
+        raise NonUnitaryError(f"witness is not unitary (defect {defect:.3e})")
     return NormEstimate(
         value=value,
         witness=witness,
@@ -335,6 +424,7 @@ def estimate_norm(element, mu, config=None, pool=()):
         restart_index=best_index,
         steps=steps,
         converged=converged,
+        upper=upper,
     )
 
 
@@ -342,8 +432,9 @@ def norm_curve(element, grid, config=None):
     """Estimates along an ascending grid of levels with witness pooling.
 
     Every grid point's best witness is injected as a candidate at all later
-    points; since feasible witnesses are reused unchanged, the reported
-    values are exactly monotone along the grid.
+    points. Feasible witnesses are reused unchanged and scored even after a
+    bracket closes, so the reported values are exactly monotone along the
+    grid.
     """
     if config is None:
         config = OptimizerConfig()

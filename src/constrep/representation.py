@@ -64,6 +64,18 @@ class Representation:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
+    @classmethod
+    def _unchecked(cls, u, v):
+        """Pair from complex arrays the caller built unitary; skips validation.
+
+        For the inner loops (deformation, ascent steps), whose inputs were
+        validated where they entered; the public constructor checks.
+        """
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "u", u)
+        object.__setattr__(rep, "v", v)
+        return rep
+
     @property
     def dim(self):
         return self.u.shape[0]
@@ -151,7 +163,7 @@ def deform(rep, t):
         new_u = project_to_unitary(new_u)
     if unitarity_defect(new_v) > _REPAIR_TOL:
         new_v = project_to_unitary(new_v)
-    return Representation(new_u, new_v)
+    return Representation._unchecked(new_u, new_v)
 
 
 def retract_to(rep, mu):

