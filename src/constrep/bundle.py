@@ -169,8 +169,11 @@ def continuity_report(curve, oracle_grid=720):
 CSV_HEADER = "mu,estimate,dim,restarts,converged"
 
 
-def export_csv(curve, path):
-    """Write a curve as CSV with a fixed header and %.9g float formatting."""
+def export_csv(curve, path=None):
+    """A curve as CSV with a fixed header and %.9g float formatting.
+
+    Returns the payload and writes it to ``path`` when one is given.
+    """
     lines = [CSV_HEADER]
     for mu, estimate in zip(curve.grid, curve.estimates):
         lines.append(
@@ -184,8 +187,9 @@ def export_csv(curve, path):
             )
         )
     payload = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write(payload)
+    if path is not None:
+        with open(path, "w", encoding="ascii", newline="\n") as handle:
+            handle.write(payload)
     return payload
 
 

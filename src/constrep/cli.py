@@ -249,22 +249,7 @@ def _run_curve(args):
     if grid is None:
         grid = _grid_arg("0:4:0.25")
     curve = optimize.norm_curve(args.element, grid, config)
-    payload = bundle.export_csv(curve, args.csv) if args.csv else None
-    if payload is None:
-        lines = [bundle.CSV_HEADER]
-        for mu, estimate in zip(curve.grid, curve.estimates):
-            lines.append(
-                "%.9g,%.9g,%d,%d,%s"
-                % (
-                    float(mu),
-                    estimate.value,
-                    estimate.dim_used,
-                    estimate.restart_index,
-                    "true" if estimate.converged else "false",
-                )
-            )
-        payload = "\n".join(lines) + "\n"
-    sys.stdout.write(payload)
+    sys.stdout.write(bundle.export_csv(curve, args.csv or None))
     if args.svg:
         bundle.render_svg(curve, args.svg)
     return 0

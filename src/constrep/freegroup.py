@@ -167,9 +167,6 @@ class GroupRingElement:
     def coefficient_l1(self):
         return sum(abs(c) for c in self.terms.values())
 
-    def support_size(self):
-        return len(self.terms)
-
     def adjoint(self):
         """Conjugate coefficients and invert words."""
         return GroupRingElement(

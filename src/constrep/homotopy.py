@@ -72,23 +72,6 @@ class CircleSamples:
     def n(self):
         return self.values.size
 
-    @classmethod
-    def from_function(cls, fn, n):
-        points = circle_points(n)
-        try:
-            values = np.asarray(fn(points), dtype=complex)
-            if values.shape != points.shape:
-                raise TypeError
-        except TypeError:
-            values = np.array([complex(fn(complex(z))) for z in points])
-        return cls(values)
-
-    @classmethod
-    def constant(cls, value, n):
-        if n < MIN_SAMPLES:
-            raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
-        return cls(np.full(int(n), complex(value)))
-
 
 def winding_total(samples):
     """Sum of principal-branch argument increments around the loop, over 2 pi.

@@ -15,9 +15,12 @@ further fresh start is built. Pool witnesses are still scored, without
 steps, so that a curve stays exactly monotone.
 
 Ascent direction: with (sigma, xi, eta) the top singular triple of pi(a),
-the derivative of sigma along U -> exp(i s H) U is <H, G_U> for the
-Hermitian matrix G_U assembled from rank-one pieces of each word occurrence
-of u (and likewise for v). Steps multiply on the left by
+the derivative of sigma along U -> exp(i s H) U is <H, G_U> for a Hermitian
+G_U (and likewise for V). Each letter of a word with coefficient c adds the
+rank-one piece c * b a^*, where a^* = xi^* (letters before it) and
+b = (letters after it) eta. Both come from vector recursions along the
+word, O(d^2) per letter, and the pieces of each letter kind are summed as
+one matrix product. Steps multiply on the left by
 exp(i * step * G/||G||) and are followed by the exact retraction, so every
 iterate stays feasible. Only improving proposals are accepted and the step
 size decays geometrically.
@@ -34,6 +37,7 @@ from .representation import (
     Representation,
     check_mu,
     evaluate,
+    letter_images,
     one_dim_rep,
     retract_to,
 )
@@ -114,7 +118,6 @@ class NormCurve:
     element: GroupRingElement
     grid: tuple
     estimates: tuple
-    pool_shared: bool = True
 
     @property
     def values(self):
@@ -181,11 +184,6 @@ def one_dim_oracle(element, mu, grid_n=720):
     """Exhaustive max of |pi(a)| over 1-dimensional feasible grid pairs."""
     value, _, _ = _oracle_scan(element, mu, grid_n)
     return value
-
-
-def one_dim_oracle_argmax(element, mu, grid_n=720):
-    """Like :func:`one_dim_oracle` but also returns the maximizing angles."""
-    return _oracle_scan(element, mu, grid_n)
 
 
 # --------------------------------------------------------------------------
@@ -272,42 +270,37 @@ def _objective(element, rep):
 
 
 def _subgradient(element, rep, left, right):
-    """Hermitian ascent directions (G_u, G_v) for the top singular value."""
-    d = rep.dim
-    images = {
-        ("u", 1): rep.u,
-        ("u", -1): rep.u.conj().T,
-        ("v", 1): rep.v,
-        ("v", -1): rep.v.conj().T,
-    }
-    c_u = np.zeros((d, d), dtype=complex)
-    c_v = np.zeros((d, d), dtype=complex)
-    eye = np.eye(d, dtype=complex)
+    """Hermitian ascent directions (G_u, G_v) for the top singular value.
+
+    Letter i of a word with coefficient c gives the rank-one piece
+    P = c * b_i a_i^*, with a_i^* = left^* (letters before i) and
+    b_i = (letters after i) right; a letter u adds U P to C_u and u^-1
+    subtracts P U* (likewise for v), and G = (i/2)(C - C*).
+    """
+    images = letter_images(rep)
+    pieces = {letter: ([], []) for letter in images}
     for word, coeff in element.terms.items():
         letters = word.letters
-        if not letters:
-            continue
-        mats = [images[letter] for letter in letters]
-        k = len(mats)
-        prefixes = [eye]
-        for m in mats[:-1]:
-            prefixes.append(prefixes[-1] @ m)
-        suffixes = [eye] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            suffixes[i] = mats[i] @ suffixes[i + 1]
-        for i, (gen, exp) in enumerate(letters):
-            rv = suffixes[i + 1] @ right
-            lw = left.conj() @ prefixes[i]
-            z = np.outer(rv, lw)
-            target = c_u if gen == "u" else c_v
-            base = images[(gen, 1)]
-            if exp == 1:
-                target += coeff * (base @ z)
-            else:
-                target -= coeff * (z @ base.conj().T)
-    g_u = 0.5j * (c_u - c_u.conj().T)
-    g_v = 0.5j * (c_v - c_v.conj().T)
-    return g_u, g_v
+        rows = [coeff * left.conj()]
+        for letter in letters[:-1]:
+            rows.append(rows[-1] @ images[letter])
+        col = right
+        for letter, row in zip(reversed(letters), reversed(rows)):
+            cols, kind_rows = pieces[letter]
+            cols.append(col)
+            kind_rows.append(row)
+            col = images[letter] @ col
+
+    def summed(letter):
+        # Sum of the letter kind's rank-one pieces; (d, 0) @ (0, d) is zero.
+        cols, rows = pieces[letter]
+        return np.reshape(cols, (-1, rep.dim)).T @ np.reshape(rows, (-1, rep.dim))
+
+    def direction(gen):
+        c = images[(gen, 1)] @ summed((gen, 1)) - summed((gen, -1)) @ images[(gen, -1)]
+        return 0.5j * (c - c.conj().T)
+
+    return direction("u"), direction("v")
 
 
 def _ascend(element, mu, start, config, target=np.inf):
@@ -351,11 +344,6 @@ def _ascend(element, mu, start, config, target=np.inf):
             if history[-1] - history[-1 - _STALL_WINDOW] < config.stall_tolerance:
                 converged = True
                 break
-    else:
-        if len(history) > _STALL_WINDOW:
-            converged = (
-                history[-1] - history[-1 - _STALL_WINDOW] < config.stall_tolerance
-            )
     return value, current, steps, converged or value >= target
 
 
@@ -368,7 +356,7 @@ def _candidate_starts(element, mu, config, pool):
     built before it.
     """
     if 1 in config.dims:
-        _, theta, phi = one_dim_oracle_argmax(element, mu, config.oracle_grid)
+        _, theta, phi = _oracle_scan(element, mu, config.oracle_grid)
         yield one_dim_rep(theta, phi)
     for witness in pool:
         yield retract_to(witness, mu)

@@ -91,6 +91,9 @@ def test_curve_writes_files(tmp_path):
     assert csv_path.read_text() == result.stdout
     assert result.stdout.startswith("mu,estimate,dim,restarts,converged\n")
     assert svg_path.read_text().startswith("<svg ")
+    plain = run_cli("curve", "-e", "u + u^-1 + v + v^-1", "--grid", "0:4:2", *FAST_FLAGS)
+    assert plain.returncode == 0
+    assert plain.stdout == result.stdout
 
 
 def test_curve_is_byte_deterministic():

@@ -21,7 +21,6 @@ from constrep.optimize import (
     estimate_norm,
     norm_curve,
     one_dim_oracle,
-    one_dim_oracle_argmax,
     upper_bound,
 )
 from constrep.representation import (
@@ -50,9 +49,33 @@ def test_config_validation():
         OptimizerConfig(max_steps=0)
 
 
-def test_subgradient_matches_finite_differences():
-    element = parse_element("2*u - v + u*v + i*u^-1*v")
-    rep = random_constrained(3, 4.0, seed=31)
+def _long_word_element(seed):
+    """Seeded element with long syllables (|exponent| <= 16), repeated and
+    inverse letters of both generators, and an identity-word term."""
+    rng = np.random.default_rng(seed)
+
+    def coeff():
+        return complex(rng.standard_normal(), rng.standard_normal())
+
+    def syllable(name, sign):
+        return generator(name, sign) ** int(rng.integers(2, 17))
+
+    terms = (
+        generator("u") ** 16 * syllable("v", -1),
+        syllable("v", 1) * syllable("u", -1) * syllable("v", 1),
+        generator("u") * generator("v", -1) * generator("u"),
+    )
+    element = GroupRingElement.from_scalar(coeff())
+    for term in terms:
+        element = element + coeff() * term
+    return element
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8], ids="d{}".format)
+@pytest.mark.parametrize("seed", [0, 1], ids="seed{}".format)
+def test_subgradient_matches_finite_differences(seed, dim):
+    element = _long_word_element(seed)
+    rep = random_constrained(dim, 4.0, seed=31 + seed)
     value, left, right = optimize._objective(element, rep)
     g_u, g_v = optimize._subgradient(element, rep, left, right)
     assert np.linalg.norm(g_u - g_u.conj().T) < 1e-12
@@ -60,9 +83,9 @@ def test_subgradient_matches_finite_differences():
 
     rng = np.random.default_rng(5)
     for _ in range(4):
-        h_u = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        h_u = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         h_u = (h_u + h_u.conj().T) / 2.0
-        h_v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        h_v = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         h_v = (h_v + h_v.conj().T) / 2.0
         predicted = float(np.real(np.trace(h_u @ g_u) + np.trace(h_v @ g_v)))
 
@@ -76,7 +99,17 @@ def test_subgradient_matches_finite_differences():
             return optimize._objective(element, moved)[0]
 
         numeric = (shifted(+1.0) - shifted(-1.0)) / (2.0 * eps)
-        assert abs(numeric - predicted) < 1e-4 * max(1.0, abs(predicted))
+        assert abs(numeric - predicted) < 1e-6 * max(1.0, abs(predicted))
+
+
+def test_subgradient_of_identity_only_element_is_zero():
+    element = GroupRingElement.from_scalar(2.0 - 1.0j)
+    rep = random_constrained(3, 2.0, seed=7)
+    _, left, right = optimize._objective(element, rep)
+    g_u, g_v = optimize._subgradient(element, rep, left, right)
+    assert g_u.shape == g_v.shape == (3, 3)
+    assert not g_u.any()
+    assert not g_v.any()
 
 
 def test_estimate_rejects_zero_element():
@@ -156,7 +189,7 @@ def test_one_dim_oracle_fallback_curve():
 def test_one_dim_oracle_argmax_is_feasible():
     x = averaging_element()
     for mu in (0.5, 2.0, 3.5):
-        value, theta, phi = one_dim_oracle_argmax(x, mu)
+        value, theta, phi = optimize._oracle_scan(x, mu, 720)
         level = abs(2.0 * np.cos(theta) + 2.0 * np.cos(phi))
         assert level <= mu + 1e-9
         assert abs(value - level) < 1e-12  # for x the value equals the level

@@ -233,6 +233,23 @@ def test_load_rejects_malformed_files(tmp_path):
         load_representation(path)
 
 
+def test_load_uses_the_constructor_tolerance(tmp_path):
+    # The loader applies the constructor's UNITARY_TOL (1e-8): a defect of
+    # 7e-8 is rejected, and a saved unitary pair loads bit for bit.
+    path = tmp_path / "pair.json"
+    rep = random_constrained(8, 4.0, seed=9)
+    save_representation(rep, path)
+    loaded = load_representation(path)
+    assert loaded.u.tobytes() == rep.u.tobytes()
+    assert loaded.v.tobytes() == rep.v.tobytes()
+
+    scaled = (1.0 + 2.475e-8) * random_unitary(2, 3)
+    assert 6.5e-8 < unitarity_defect(scaled) < 7.5e-8
+    save_representation(Representation._unchecked(scaled, np.eye(2, dtype=complex)), path)
+    with pytest.raises(ValueError, match="not unitary"):
+        load_representation(path)
+
+
 def test_distance_between_pairs():
     rep = random_constrained(3, 4.0, seed=14)
     assert rep.distance(rep) == 0.0
