@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__, bundle, optimize, representation, verify
 from .freegroup import ParseError, format_element, parse_element
+
+MAX_GRID_POINTS = 10001
 
 _CONFIG_KEYS = (
     "dims",
@@ -78,9 +81,18 @@ def _grid_arg(text):
         start, stop, step = (float(part) for part in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}") from exc
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise argparse.ArgumentTypeError(f"grid values must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError("grid needs stop >= start and step > 0")
-    count = int(round((stop - start) / step))
+    # Each point is a full estimate; checked before anything is allocated,
+    # and before an overflowing quotient reaches round().
+    span = (stop - start) / step
+    if not span < MAX_GRID_POINTS - 0.5:
+        raise argparse.ArgumentTypeError(
+            f"grid has more than {MAX_GRID_POINTS} points"
+        )
+    count = int(round(span))
     if abs(start + count * step - stop) > 1e-9:
         raise argparse.ArgumentTypeError("grid step must divide the range evenly")
     values = start + step * np.arange(count + 1)
@@ -150,16 +162,8 @@ def _optimizer_config(args):
             return from_file[name]
         return getattr(defaults, name)
 
-    return optimize.OptimizerConfig(
-        dims=tuple(int(d) for d in pick("dims")),
-        restarts=int(pick("restarts")),
-        max_steps=int(pick("max_steps")),
-        initial_step=float(pick("initial_step")),
-        step_decay=float(pick("step_decay")),
-        stall_tolerance=float(pick("stall_tolerance")),
-        seed=int(pick("seed")),
-        oracle_grid=int(pick("oracle_grid")),
-    )
+    # The constructor validates file values and flags alike.
+    return optimize.OptimizerConfig(**{name: pick(name) for name in _CONFIG_KEYS})
 
 
 def build_parser():

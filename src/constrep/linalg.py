@@ -133,9 +133,12 @@ def apply_hermitian_function(a, fn):
     return (dec.vectors * values) @ dec.vectors.conj().T
 
 
-def unitary_exponential(h, scale=1.0):
-    """exp(i * scale * H) for Hermitian H; exactly unitary up to rounding."""
-    dec = hermitian_eig(h)
+def unitary_exponential(dec, scale=1.0):
+    """exp(i * scale * H) from ``dec = hermitian_eig(H)``; unitary up to rounding.
+
+    Taking the decomposition rather than H lets a caller that exponentiates
+    one H at several scales decompose it once.
+    """
     phases = np.exp(1j * scale * dec.eigenvalues)
     return (dec.vectors * phases) @ dec.vectors.conj().T
 

@@ -23,11 +23,15 @@ word, O(d^2) per letter, and the pieces of each letter kind are summed as
 one matrix product. Steps multiply on the left by
 exp(i * step * G/||G||) and are followed by the exact retraction, so every
 iterate stays feasible. Only improving proposals are accepted and the step
-size decays geometrically.
+size decays geometrically. The direction depends only on the current pair,
+so it and the eigendecompositions of G/||G|| are computed once per accepted
+point and reused, at a shorter step, after each rejected proposal.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +49,7 @@ from .linalg import (
     NonUnitaryError,
     UNITARY_TOL,
     haar_unitary,
+    hermitian_eig,
     top_singular_triple,
     unitarity_defect,
     unitary_exponential,
@@ -56,7 +61,12 @@ _GRADIENT_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the multi-start ascent; defaults suit dimensions up to 8."""
+    """Knobs for the multi-start ascent; defaults suit dimensions up to 8.
+
+    The constructor is the one check for flags and config files alike: it
+    rejects what the ascent cannot run with ``ValueError`` and stores ints
+    and floats.
+    """
 
     dims: tuple = (1, 2, 4, 8)
     restarts: int = 16
@@ -68,14 +78,22 @@ class OptimizerConfig:
     oracle_grid: int = 720
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        if isinstance(self.dims, (str, bytes)) or not hasattr(self.dims, "__iter__"):
+            raise ValueError(f"dims must be a sequence of integers, got {self.dims!r}")
+        dims = tuple(_integer("dims entry", d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError("dims must be a non-empty tuple of positive integers")
         object.__setattr__(self, "dims", dims)
+        for name in ("restarts", "max_steps", "seed", "oracle_grid"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("initial_step", "step_decay", "stall_tolerance"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not (0.0 < self.initial_step):
             raise ValueError("initial_step must be positive")
         if not (0.0 < self.step_decay <= 1.0):
@@ -84,6 +102,29 @@ class OptimizerConfig:
             raise ValueError("stall_tolerance must be positive")
         if self.oracle_grid < 8:
             raise ValueError("oracle_grid must be at least 8")
+
+
+def _integer(name, value):
+    """``value`` as an int; bools, strings and fractional numbers are rejected."""
+    if not isinstance(value, (bool, str)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _finite(name, value):
+    """``value`` as a finite float; bools and strings are rejected."""
+    if not isinstance(value, (bool, str)):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -318,25 +359,32 @@ def _ascend(element, mu, start, config, target=np.inf):
     step = config.initial_step
     converged = False
     steps = 0
+    # Eigendecompositions of the unit direction at ``current``; a rejected
+    # proposal leaves current, left and right, hence the direction, unchanged.
+    direction = None
     for k in range(1, config.max_steps + 1):
         if value >= target:
             break
-        g_u, g_v = _subgradient(element, current, left, right)
-        scale = float(np.sqrt(np.linalg.norm(g_u) ** 2 + np.linalg.norm(g_v) ** 2))
-        if scale < _GRADIENT_FLOOR:
-            steps = k
-            converged = True
-            break
+        if direction is None:
+            g_u, g_v = _subgradient(element, current, left, right)
+            scale = float(np.sqrt(np.linalg.norm(g_u) ** 2 + np.linalg.norm(g_v) ** 2))
+            if scale < _GRADIENT_FLOOR:
+                steps = k
+                converged = True
+                break
+            direction = (hermitian_eig(g_u / scale), hermitian_eig(g_v / scale))
+        dec_u, dec_v = direction
         # Products of unitaries: validated once, on the estimate's witness.
         proposal = Representation._unchecked(
-            unitary_exponential(g_u / scale, step) @ current.u,
-            unitary_exponential(g_v / scale, step) @ current.v,
+            unitary_exponential(dec_u, step) @ current.u,
+            unitary_exponential(dec_v, step) @ current.v,
         )
         proposal = retract_to(proposal, mu)
         new_value, new_left, new_right = _objective(element, proposal)
         if new_value > value:
             current, value = proposal, new_value
             left, right = new_left, new_right
+            direction = None
         steps = k
         step *= config.step_decay
         history.append(value)

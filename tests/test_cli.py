@@ -55,6 +55,9 @@ def test_estimate_is_byte_deterministic():
         ("estimate", "-e", "u - u", "-m", "1"),
         ("curve", "-e", "u", "--grid", "0:4"),
         ("curve", "-e", "u", "--grid", "0:4:0.3"),
+        ("curve", "-e", "u", "--grid", "0:4:1e-9"),
+        ("curve", "-e", "u", "--grid", "0:4:5e-324"),
+        ("curve", "-e", "u", "--grid", "0:nan:1"),
         ("nonsense",),
         ("estimate", "-e", "u", "-m", "1", "--bogus"),
     ],
@@ -155,6 +158,28 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     result = run_cli("estimate", "-e", "u", "-m", "2", "--config", str(config))
     assert result.returncode == 1
     assert "unknown config keys" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dims": 4},
+        {"dims": "12"},
+        {"max_steps": 2.7},
+        {"dims": [1.9]},
+        {"stall_tolerance": float("nan")},
+        {"initial_step": float("inf")},
+    ],
+    ids=lambda payload: json.dumps(payload),
+)
+def test_config_file_rejects_values_it_cannot_run(tmp_path, payload):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    result = run_cli("estimate", "-e", "u", "-m", "2", "--config", str(config))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 def test_missing_config_file_is_a_runtime_error():

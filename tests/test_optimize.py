@@ -14,7 +14,12 @@ from constrep.freegroup import (
     generator,
     parse_element,
 )
-from constrep.linalg import NonUnitaryError, operator_norm, unitary_exponential
+from constrep.linalg import (
+    NonUnitaryError,
+    hermitian_eig,
+    operator_norm,
+    unitary_exponential,
+)
 from constrep.optimize import (
     NormCurve,
     OptimizerConfig,
@@ -29,6 +34,7 @@ from constrep.representation import (
     evaluate,
     one_dim_rep,
     random_constrained,
+    retract_to,
 )
 
 SMALL = OptimizerConfig(dims=(1, 2), restarts=3, max_steps=120, seed=0)
@@ -47,6 +53,29 @@ def test_config_validation():
         OptimizerConfig(initial_step=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_steps=0)
+    # The constructor is the one rule: no truncation, no late TypeError.
+    for bad in (
+        {"dims": 4},
+        {"dims": "12"},
+        {"dims": [1.9]},
+        {"dims": (True, 2)},
+        {"max_steps": 2.5},
+        {"max_steps": 2.7},
+        {"restarts": "3"},
+        {"oracle_grid": 720.0},
+        {"seed": -1},
+        {"seed": False},
+        {"stall_tolerance": math.nan},
+        {"initial_step": math.inf},
+        {"step_decay": "0.9"},
+        {"initial_step": None},
+    ):
+        with pytest.raises(ValueError):
+            OptimizerConfig(**bad)
+    config = OptimizerConfig(dims=[np.int64(2), 1], max_steps=np.int64(7), initial_step=1)
+    assert config.dims == (2, 1)
+    assert type(config.max_steps) is int and config.max_steps == 7
+    assert type(config.initial_step) is float and config.initial_step == 1.0
 
 
 def _long_word_element(seed):
@@ -93,8 +122,8 @@ def test_subgradient_matches_finite_differences(seed, dim):
 
         def shifted(sign):
             moved = Representation(
-                unitary_exponential(h_u, sign * eps) @ rep.u,
-                unitary_exponential(h_v, sign * eps) @ rep.v,
+                unitary_exponential(hermitian_eig(h_u), sign * eps) @ rep.u,
+                unitary_exponential(hermitian_eig(h_v), sign * eps) @ rep.v,
             )
             return optimize._objective(element, moved)[0]
 
@@ -110,6 +139,103 @@ def test_subgradient_of_identity_only_element_is_zero():
     assert g_u.shape == g_v.shape == (3, 3)
     assert not g_u.any()
     assert not g_v.any()
+
+
+def _reference_ascent(element, mu, start, config):
+    """The ascent loop with the direction and its eigendecompositions
+    recomputed on every step; returns _ascend's 4-tuple and the number of
+    rejected proposals."""
+    current = start
+    value, left, right = optimize._objective(element, current)
+    history = [value]
+    step = config.initial_step
+    steps, converged, rejected = 0, False, 0
+    for k in range(1, config.max_steps + 1):
+        g_u, g_v = optimize._subgradient(element, current, left, right)
+        scale = float(np.sqrt(np.linalg.norm(g_u) ** 2 + np.linalg.norm(g_v) ** 2))
+        if scale < optimize._GRADIENT_FLOOR:
+            steps, converged = k, True
+            break
+        proposal = Representation._unchecked(
+            unitary_exponential(hermitian_eig(g_u / scale), step) @ current.u,
+            unitary_exponential(hermitian_eig(g_v / scale), step) @ current.v,
+        )
+        proposal = retract_to(proposal, mu)
+        new_value, new_left, new_right = optimize._objective(element, proposal)
+        if new_value > value:
+            current, value, left, right = proposal, new_value, new_left, new_right
+        else:
+            rejected += 1
+        steps = k
+        step *= config.step_decay
+        history.append(value)
+        if len(history) > 25 and history[-1] - history[-26] < config.stall_tolerance:
+            converged = True
+            break
+    return (value, current, steps, converged), rejected
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4], ids="d{}".format)
+@pytest.mark.parametrize("initial_step", [0.1, 0.3], ids="step{}".format)
+@pytest.mark.parametrize("kind", ["long", "short"])
+def test_ascent_matches_per_step_direction_bit_for_bit(kind, initial_step, dim):
+    if kind == "long":
+        element = _long_word_element(1)
+    else:
+        element = parse_element("u + i*v - u*v^-1")
+    config = OptimizerConfig(max_steps=60, initial_step=initial_step)
+    start = random_constrained(dim, 2.5, seed=10 + dim)
+    (value, witness, steps, converged), rejected = _reference_ascent(
+        element, 2.5, start, config
+    )
+    got = optimize._ascend(element, 2.5, start, config)
+    assert got[0] == value
+    assert got[2] == steps
+    assert got[3] == converged
+    assert got[1].u.tobytes() == witness.u.tobytes()
+    assert got[1].v.tobytes() == witness.v.tobytes()
+    if kind == "long" and initial_step == 0.3:
+        assert 2 * rejected >= steps  # mostly rejected proposals
+
+
+def test_ascent_computes_direction_once_per_accepted_point(monkeypatch):
+    subgradient, objective = optimize._subgradient, optimize._objective
+    events = []
+
+    def logged_subgradient(element, rep, left, right):
+        events.append(("direction", rep, None))
+        return subgradient(element, rep, left, right)
+
+    def logged_objective(element, rep):
+        result = objective(element, rep)
+        events.append(("value", rep, result[0]))
+        return result
+
+    monkeypatch.setattr(optimize, "_subgradient", logged_subgradient)
+    monkeypatch.setattr(optimize, "_objective", logged_objective)
+    element = _long_word_element(1)
+    config = OptimizerConfig(max_steps=60, initial_step=0.3)
+    for dim in (1, 2, 4):
+        events.clear()
+        start = random_constrained(dim, 2.5, seed=10 + dim)
+        value, witness, steps, _ = optimize._ascend(element, 2.5, start, config)
+        kind, current, best = events[0]
+        assert kind == "value" and current is start
+        stale, directions, accepted = True, 0, 0
+        for kind, rep, new_value in events[1:]:
+            if kind == "direction":
+                # Only at a newly accepted pair, so never twice on one pair.
+                assert stale and rep is current
+                stale = False
+                directions += 1
+            else:
+                assert not stale
+                if new_value > best:
+                    current, best, stale = rep, new_value, True
+                    accepted += 1
+        assert current is witness and best == value
+        assert directions == 1 + accepted - stale
+        assert 2 * (steps - accepted) >= steps
 
 
 def test_estimate_rejects_zero_element():
