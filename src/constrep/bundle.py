@@ -137,7 +137,7 @@ class CurveReport:
         )
 
 
-def continuity_report(curve, oracle_grid=720):
+def continuity_report(curve):
     """Check a curve for monotonicity, increments, and oracle floors.
 
     The one-dimensional oracle is a lower bound for every constraint level,
@@ -152,7 +152,7 @@ def continuity_report(curve, oracle_grid=720):
     max_increment = float(np.max(diffs)) if diffs.size else 0.0
     worst_shortfall = 0.0
     for mu, value in zip(grid, values):
-        floor = one_dim_oracle(curve.element, float(mu), grid_n=oracle_grid)
+        floor = one_dim_oracle(curve.element, float(mu))
         worst_shortfall = max(worst_shortfall, floor - value)
     if curve.element == averaging_element():
         line_deviation = float(np.max(np.abs(values - grid)))

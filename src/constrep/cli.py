@@ -34,7 +34,6 @@ _CONFIG_KEYS = (
     "initial_step",
     "step_decay",
     "stall_tolerance",
-    "oracle_grid",
     "seed",
 )
 
@@ -125,12 +124,6 @@ def _add_optimizer_flags(parser):
         type=float,
         default=None,
         help="window improvement below which a start stops",
-    )
-    parser.add_argument(
-        "--oracle-grid",
-        type=int,
-        default=None,
-        help="grid size of the one-dimensional oracle scan",
     )
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument(

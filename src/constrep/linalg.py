@@ -143,11 +143,6 @@ def unitary_exponential(dec, scale=1.0):
     return (dec.vectors * phases) @ dec.vectors.conj().T
 
 
-def project_to_unitary(w):
-    """Nearest-unitary repair by renormalizing eigenvalues to the circle."""
-    return unitary_eig(w).reconstruct()
-
-
 def top_singular_triple(a):
     """Largest singular value of A with its left/right singular vectors.
 

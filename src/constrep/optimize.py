@@ -56,6 +56,8 @@ from .linalg import (
 )
 
 _STALL_WINDOW = 25
+# Angles per generator in the 1-D torus oracle: steps of half a degree.
+ORACLE_GRID = 720
 _GRADIENT_FLOOR = 1e-14
 
 
@@ -65,7 +67,8 @@ class OptimizerConfig:
 
     The constructor is the one check for flags and config files alike: it
     rejects what the ascent cannot run with ``ValueError`` and stores ints
-    and floats.
+    and floats. The 1-D oracle start of dimension 1 scans the fixed
+    ``ORACLE_GRID`` whatever the config, so its cost is bounded.
     """
 
     dims: tuple = (1, 2, 4, 8)
@@ -75,7 +78,6 @@ class OptimizerConfig:
     step_decay: float = 0.97
     stall_tolerance: float = 1e-7
     seed: int = 0
-    oracle_grid: int = 720
 
     def __post_init__(self):
         if isinstance(self.dims, (str, bytes)) or not hasattr(self.dims, "__iter__"):
@@ -84,7 +86,7 @@ class OptimizerConfig:
         if not dims or any(d < 1 for d in dims):
             raise ValueError("dims must be a non-empty tuple of positive integers")
         object.__setattr__(self, "dims", dims)
-        for name in ("restarts", "max_steps", "seed", "oracle_grid"):
+        for name in ("restarts", "max_steps", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("initial_step", "step_decay", "stall_tolerance"):
             object.__setattr__(self, name, _finite(name, getattr(self, name)))
@@ -100,8 +102,6 @@ class OptimizerConfig:
             raise ValueError("step_decay must lie in (0, 1]")
         if self.stall_tolerance <= 0:
             raise ValueError("stall_tolerance must be positive")
-        if self.oracle_grid < 8:
-            raise ValueError("oracle_grid must be at least 8")
 
 
 def _integer(name, value):
@@ -170,60 +170,52 @@ class NormCurve:
 # --------------------------------------------------------------------------
 
 
-def _element_exponents(element):
-    if not isinstance(element, GroupRingElement):
-        raise TypeError("expected a GroupRingElement")
-    coeffs = []
-    pu = []
-    qv = []
-    for word, coeff in element.sorted_terms():
-        p, q = word.generator_sums()
-        coeffs.append(coeff)
-        pu.append(p)
-        qv.append(q)
-    return np.array(coeffs), np.array(pu), np.array(qv)
+def _oracle_scan(element, mu):
+    """(value, theta, phi): the max of |pi(a)| over 1-D pairs on the fixed grid.
 
-
-def _oracle_scan(element, mu, grid_n):
-    mu = check_mu(mu)
-    grid_n = int(grid_n)
-    if grid_n < 8:
-        raise ValueError("oracle grid must have at least 8 points")
-    coeffs, pu, qv = _element_exponents(element)
-    if coeffs.size == 0:
+    The pair u -> e^(i theta), v -> e^(i phi) sends a word with generator
+    sums (p, q) to e^(i (p theta + q phi)), so each scan is one matrix
+    product over the terms. Callers validate the element and mu.
+    """
+    terms = element.sorted_terms()
+    if not terms:
         return 0.0, 0.0, 0.0
-    theta = 2.0 * np.pi * np.arange(grid_n) / grid_n
+    coeffs = np.array([coeff for _, coeff in terms])
+    p, q = np.array([word.generator_sums() for word, _ in terms]).T
+    theta = 2.0 * np.pi * np.arange(ORACLE_GRID) / ORACLE_GRID
 
-    # The curve phi = pi - theta is feasible at every constraint level (the
-    # two cosines cancel exactly), so it is always scanned; near mu = 0 it is
-    # the only reliable source of feasible points, since the square grid may
-    # contain almost no pairs whose cosines cancel to the last bit.
+    # The curve phi = pi - theta is feasible at every constraint level up to
+    # rounding (on this grid 2cos(theta) + 2cos(pi - theta) is nonzero at 493
+    # of 720 points, at most 6.7e-16), so it is always scanned; near mu = 0
+    # it is the only reliable source of feasible points, since the square
+    # grid may contain almost no pairs whose cosines cancel to the last bit.
     phi = np.pi - theta
-    curve_total = np.zeros(grid_n, dtype=complex)
-    for c, p, q in zip(coeffs, pu, qv):
-        curve_total += c * np.exp(1j * (p * theta + q * phi))
-    curve_mag = np.abs(curve_total)
-    i = int(np.argmax(curve_mag))
-    best = (float(curve_mag[i]), float(theta[i]), float(phi[i]))
+    curve = np.abs(np.exp(1j * (np.outer(theta, p) + np.outer(phi, q))) @ coeffs)
+    i = int(np.argmax(curve))
+    best = (float(curve[i]), float(theta[i]), float(phi[i]))
 
     cos_t = 2.0 * np.cos(theta)
     feasible = np.abs(cos_t[:, None] + cos_t[None, :]) <= mu
     if feasible.any():
-        total = np.zeros((grid_n, grid_n), dtype=complex)
-        for c, p, q in zip(coeffs, pu, qv):
-            total += c * np.exp(1j * p * theta)[:, None] * np.exp(1j * q * theta)[None, :]
-        magnitude = np.abs(total)
+        grid = (np.exp(1j * np.outer(theta, p)) * coeffs) @ np.exp(1j * np.outer(q, theta))
+        magnitude = np.abs(grid)
         magnitude[~feasible] = -1.0
-        flat = int(np.argmax(magnitude))
-        i, j = divmod(flat, grid_n)
+        i, j = divmod(int(np.argmax(magnitude)), ORACLE_GRID)
         if float(magnitude[i, j]) > best[0]:
             best = (float(magnitude[i, j]), float(theta[i]), float(theta[j]))
     return best
 
 
-def one_dim_oracle(element, mu, grid_n=720):
-    """Exhaustive max of |pi(a)| over 1-dimensional feasible grid pairs."""
-    value, _, _ = _oracle_scan(element, mu, grid_n)
+def one_dim_oracle(element, mu):
+    """Max of |pi(a)| over 1-dimensional feasible pairs on the fixed grid.
+
+    The grid is ORACLE_GRID equally spaced angles per generator, plus the
+    antidiagonal phi = pi - theta; the value is a lower bound for the
+    constrained norm at level mu.
+    """
+    if not isinstance(element, GroupRingElement):
+        raise TypeError("expected a GroupRingElement")
+    value, _, _ = _oracle_scan(element, check_mu(mu))
     return value
 
 
@@ -404,7 +396,7 @@ def _candidate_starts(element, mu, config, pool):
     built before it.
     """
     if 1 in config.dims:
-        _, theta, phi = _oracle_scan(element, mu, config.oracle_grid)
+        _, theta, phi = _oracle_scan(element, mu)
         yield one_dim_rep(theta, phi)
     for witness in pool:
         yield retract_to(witness, mu)

@@ -169,7 +169,7 @@ def test_criterion_06_oracle_agreement():
     worst_floor = 0.0
     config = optimize.OptimizerConfig(dims=(1, 2), restarts=4, max_steps=150)
     for mu in (0.5, 1.5, 2.5, 3.5):
-        oracle = optimize.one_dim_oracle(x, mu, grid_n=720)
+        oracle = optimize.one_dim_oracle(x, mu)
         worst_oracle = max(worst_oracle, abs(oracle - mu))
         estimate = optimize.estimate_norm(x, mu, config)
         worst_floor = max(worst_floor, oracle - estimate.value)

@@ -60,6 +60,7 @@ def test_estimate_is_byte_deterministic():
         ("curve", "-e", "u", "--grid", "0:nan:1"),
         ("nonsense",),
         ("estimate", "-e", "u", "-m", "1", "--bogus"),
+        ("estimate", "-e", "u", "-m", "1", "--oracle-grid", "720"),
     ],
 )
 def test_usage_errors_exit_two(args):
@@ -154,10 +155,12 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"restrats": 2}))
-    result = run_cli("estimate", "-e", "u", "-m", "2", "--config", str(config))
-    assert result.returncode == 1
-    assert "unknown config keys" in result.stderr
+    # The oracle grid is fixed, so its old key is unknown too.
+    for payload in ({"restrats": 2}, {"oracle_grid": 720}):
+        config.write_text(json.dumps(payload))
+        result = run_cli("estimate", "-e", "u", "-m", "2", "--config", str(config))
+        assert result.returncode == 1
+        assert "unknown config keys" in result.stderr
 
 
 @pytest.mark.parametrize(

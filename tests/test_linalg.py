@@ -11,7 +11,6 @@ from constrep.linalg import (
     apply_hermitian_function,
     hermitian_eig,
     operator_norm,
-    project_to_unitary,
     random_unitary,
     top_singular_triple,
     unitary_eig,
@@ -169,14 +168,6 @@ def test_unitary_exponential_matches_expm():
         want = scipy.linalg.expm(1j * scale * h)
         assert np.max(np.abs(got - want)) < 1e-10
     assert np.max(np.abs(unitary_exponential(hermitian_eig(h), 0.0) - np.eye(4))) < 1e-12
-
-
-def test_project_to_unitary_repairs_small_drift():
-    w = random_unitary(4, seed=6)
-    drift = w + 1e-9 * _random_complex(4, 7)
-    repaired = project_to_unitary(drift)
-    assert unitarity_defect(repaired) < 1e-12
-    assert np.max(np.abs(repaired - w)) < 1e-8
 
 
 def test_random_unitary_is_deterministic():

@@ -62,7 +62,6 @@ def test_config_validation():
         {"max_steps": 2.5},
         {"max_steps": 2.7},
         {"restarts": "3"},
-        {"oracle_grid": 720.0},
         {"seed": -1},
         {"seed": False},
         {"stall_tolerance": math.nan},
@@ -315,10 +314,65 @@ def test_one_dim_oracle_fallback_curve():
 def test_one_dim_oracle_argmax_is_feasible():
     x = averaging_element()
     for mu in (0.5, 2.0, 3.5):
-        value, theta, phi = optimize._oracle_scan(x, mu, 720)
+        value, theta, phi = optimize._oracle_scan(x, mu)
         level = abs(2.0 * np.cos(theta) + 2.0 * np.cos(phi))
         assert level <= mu + 1e-9
         assert abs(value - level) < 1e-12  # for x the value equals the level
+
+
+def _syllable_element(rng):
+    """2-4 terms of 1-3 alternating syllables with |exponent| <= 16."""
+    element = GroupRingElement.zero()
+    for _ in range(int(rng.integers(2, 5))):
+        first = int(rng.integers(0, 2))
+        term = GroupRingElement.from_scalar(1.0)
+        for s in range(int(rng.integers(1, 4))):
+            letter = generator("uv"[(first + s) % 2], int(rng.choice((-1, 1))))
+            term = term * letter ** int(rng.integers(1, 17))
+        coeff = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        element = element + coeff * term
+    return element
+
+
+def _reference_oracle(element, mu):
+    """The oracle as a loop over terms, one n x n broadcast per term."""
+    terms = element.sorted_terms()
+    grid_n = 720
+    theta = 2.0 * np.pi * np.arange(grid_n) / grid_n
+    phi = np.pi - theta
+    curve = np.zeros(grid_n, dtype=complex)
+    total = np.zeros((grid_n, grid_n), dtype=complex)
+    for word, c in terms:
+        p, q = word.generator_sums()
+        curve += c * np.exp(1j * (p * theta + q * phi))
+        total += c * np.exp(1j * p * theta)[:, None] * np.exp(1j * q * theta)[None, :]
+    best = float(np.max(np.abs(curve)))
+    cos_t = 2.0 * np.cos(theta)
+    feasible = np.abs(cos_t[:, None] + cos_t[None, :]) <= mu
+    if feasible.any():
+        best = max(best, float(np.max(np.abs(total)[feasible])))
+    return best
+
+
+def test_oracle_matches_per_term_reference():
+    assert optimize.ORACLE_GRID == 720
+    for seed in range(20):
+        element = _syllable_element(np.random.default_rng(seed))
+        l1 = element.coefficient_l1()
+        for mu in (0.0, 0.5, 2.0, 3.5, 4.0):
+            value, theta, phi = optimize._oracle_scan(element, mu)
+            assert abs(value - _reference_oracle(element, mu)) <= 1e-12 * l1
+            assert one_dim_oracle(element, mu) == value
+            image = evaluate(one_dim_rep(theta, phi), element)
+            assert abs(abs(image[0, 0]) - value) <= 1e-12 * l1
+            assert abs(2.0 * np.cos(theta) + 2.0 * np.cos(phi)) <= mu + 1e-12
+
+
+def test_one_dim_oracle_checks_its_arguments():
+    with pytest.raises(TypeError):
+        one_dim_oracle("u + v", 1.0)
+    with pytest.raises(ValueError):
+        one_dim_oracle(averaging_element(), 4.5)
 
 
 def test_estimate_dominates_oracle():

@@ -152,6 +152,25 @@ def test_retract_lands_on_target_with_eigenvalues_at_plus_minus_one(mu):
     assert max(unitarity_defect(pulled.u), unitarity_defect(pulled.v)) < 1e-12
 
 
+def test_deform_keeps_unitarity_with_eigenvalues_at_plus_minus_one():
+    # deform has no repair step, so its eigendecomposition alone must keep
+    # eigenvalues exactly at +-1 (where the circle map has its kinks) on the
+    # circle; the second image shares no eigenbasis with the first
+    q = random_unitary(6, seed=5)
+    u = q @ np.diag([1, -1, 1, -1, 1j, -1j]) @ q.conj().T
+    r = random_unitary(6, seed=6)
+    v = r @ np.diag([1, 1, -1, -1, -1, np.exp(0.4j)]) @ r.conj().T
+    rep = Representation(u, v)
+    base = _sum_matrix(rep)
+    for t in (0.0, 0.3, 0.7, 1.0):
+        moved = deform(rep, t)
+        assert max(unitarity_defect(moved.u), unitarity_defect(moved.v)) < 1e-13
+        assert np.max(np.abs(_sum_matrix(moved) - (1.0 - t) * base)) < 1e-13
+    assert constraint_value(rep) > 2.0
+    for mu in (0.0, 1.0, 2.0):
+        assert abs(constraint_value(retract_to(rep, mu)) - mu) < 1e-12
+
+
 def test_validation_accepts_transposed_views():
     u = random_unitary(3, seed=2)
     rep = Representation(u, u.conj().T)
@@ -219,6 +238,11 @@ def test_load_rejects_malformed_files(tmp_path):
 
     path.write_text('{"dim": 2}')
     with pytest.raises(ValueError):
+        load_representation(path)
+
+    # JSON true is a Python bool, hence an int, but not a dimension
+    path.write_text('{"dim": true, "u": [[[1, 0]]], "v": [[[1, 0]]]}')
+    with pytest.raises(ValueError, match="'dim'"):
         load_representation(path)
 
     path.write_text('{"dim": 2, "u": [[[1,0],[0,0]],[[0,0],[1,0]]], "v": "x"}')
