@@ -321,6 +321,11 @@ def character_at_i(element):
 # --------------------------------------------------------------------------
 
 
+def generator_sum(u, v):
+    """U + U* + V + V*, the image of the averaging element under (U, V)."""
+    return u + u.conj().T + v + v.conj().T
+
+
 def _block_diag(*mats):
     size = sum(m.shape[0] for m in mats)
     out = np.zeros((size, size), dtype=complex)
@@ -391,13 +396,7 @@ def homotopy_images(rep, t):
 
 def interpolant_generator_sum(rep, t):
     """Value of the averaging element under the rotation-path images."""
-    image_u, image_v = homotopy_images(rep, t)
-    return (
-        image_u
-        + image_u.conj().T
-        + image_v
-        + image_v.conj().T
-    )
+    return generator_sum(*homotopy_images(rep, t))
 
 
 def interpolant_sum_blocks(rep, t):
@@ -409,7 +408,7 @@ def interpolant_sum_blocks(rep, t):
     of x because [[s, c], [c, -s]] is a reflection.
     """
     d = rep.dim
-    x = rep.u + rep.u.conj().T + rep.v + rep.v.conj().T
+    x = generator_sum(rep.u, rep.v)
     s = math.sin(float(t))
     c = math.cos(float(t))
     out = np.zeros((4 * d, 4 * d), dtype=complex)
@@ -423,7 +422,7 @@ def interpolant_sum_blocks(rep, t):
 def sine_law_residual(rep, t):
     """|  ||sum along the path||  -  sin t * ||sum at the pair||  |."""
     total = interpolant_generator_sum(rep, t)
-    x = rep.u + rep.u.conj().T + rep.v + rep.v.conj().T
+    x = generator_sum(rep.u, rep.v)
     return abs(operator_norm(total) - math.sin(float(t)) * operator_norm(x))
 
 
@@ -510,10 +509,6 @@ class CharacterHomotopyReport:
         return all(path.passed(tol) for path in self.paths)
 
 
-def _sum_norm(u, v):
-    return operator_norm(u + u.conj().T + v + v.conj().T)
-
-
 def character_homotopy_check(rep, grid_size=33):
     """Walk all three character homotopies on a uniform parameter grid.
 
@@ -529,7 +524,7 @@ def character_homotopy_check(rep, grid_size=33):
         raise ValueError("grid must have at least 2 points")
     d = rep.dim
     eye = np.eye(d, dtype=complex)
-    base = _sum_norm(rep.u, rep.v)
+    base = operator_norm(generator_sum(rep.u, rep.v))
     reports = []
 
     endpoint_specs = {
@@ -554,7 +549,7 @@ def character_homotopy_check(rep, grid_size=33):
             worst_defect = max(
                 worst_defect, unitarity_defect(u_t), unitarity_defect(v_t)
             )
-            value = _sum_norm(u_t, v_t)
+            value = operator_norm(generator_sum(u_t, v_t))
             worst_excess = max(worst_excess, value - base)
             if name == "fold_swap":
                 worst_scaling = max(worst_scaling, abs(value - float(t) * base))

@@ -397,7 +397,13 @@ def _candidate_starts(element, mu, config, pool):
     """
     if 1 in config.dims:
         _, theta, phi = _oracle_scan(element, mu)
-        yield one_dim_rep(theta, phi)
+        start = one_dim_rep(theta, phi)
+        if phi == np.pi - theta:
+            # On the antidiagonal v = -conj(u) makes the generator sum cancel
+            # exactly, where e^(i theta) + e^(i (pi - theta)) leaves rounding
+            # that can exceed mu = 0.
+            start = Representation(start.u, -start.u.conj())
+        yield start
     for witness in pool:
         yield retract_to(witness, mu)
     for dim in config.dims:

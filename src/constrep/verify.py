@@ -1,9 +1,33 @@
-"""Built-in verification suites exercising the library's exact identities.
+"""Residual functions for the library's exact identities, and the suites on them.
 
-Each suite runs a handful of named checks at desk scale (seconds, not
-minutes) and returns :class:`CheckResult` rows. The ``all`` suite chains
-every other suite. Output formatting is fixed so repeated runs with the
-same seed produce byte-identical reports.
+Each fact has one residual function. It takes its sample as arguments and
+returns its worst residuals, so each caller keeps its own seeds, sizes and
+tolerances. The suites behind ``constrep verify`` call these functions at
+desk scale (seconds, not minutes); the acceptance criteria in
+``tests/test_acceptance.py`` call the same functions at their stated scale.
+Function, the checks it serves, and the criteria:
+
+* :func:`deformation_residuals`: ``deformation_*``; 1.
+* :func:`retraction_residuals`: ``retraction_*``; 2.
+* :func:`zero_constructor_residuals`: ``zero_constructor``; 3.
+* :func:`averaging_curve_residuals`: ``averaging_curve_*``; 4.
+* :func:`unit_generator_residual`: ``unit_generator_norm``; 5.
+* :func:`oracle_line_residual`: ``oracle_on_averaging_element``; 6.
+* :func:`oracle_floor_residual`: ``estimate_dominates_oracle``; 6.
+* :func:`rotation_residuals`: ``rotation_sine_scaling``,
+  ``rotation_block_structure``; 7.
+* :func:`rotation_endpoint_residuals`: ``rotation_start_matches_composition``,
+  ``rotation_end_matches_split``; 8.
+* :func:`wedge_residuals`: ``wedge_*``; 9.
+* :func:`winding_residuals`: ``winding_*``; 10.
+* :func:`character_path_residuals`: ``character_paths``; 11.
+* :func:`~constrep.homotopy.scalar_character_residuals`:
+  ``scalar_characters``; 12.
+* :func:`kesten_residuals`: ``ball_*``; 13.
+
+``estimate_determinism`` and ``character_kills_averaging_element`` serve
+no criterion and are computed in their suites. Output formatting is fixed
+so repeated runs with the same seed produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -15,9 +39,8 @@ import numpy as np
 
 from . import bundle, homotopy, optimize, representation
 from .freegroup import averaging_element, generator, parse_element
+from .homotopy import generator_sum
 from .linalg import operator_norm, random_unitary, unitarity_defect
-
-SUITE_NAMES = ("deformation", "homotopy", "winding", "norms", "kesten", "all")
 
 
 @dataclass(frozen=True)
@@ -44,277 +67,289 @@ def _check(name, residual, tol):
     return CheckResult(name=name, passed=residual <= tol, residual=residual, tol=tol)
 
 
+def _max_entry(mat):
+    return float(np.max(np.abs(mat)))
+
+
 # --------------------------------------------------------------------------
-# deformation suite
+# residual functions, one per fact
 # --------------------------------------------------------------------------
 
 
-def _deformation_suite(seed):
-    results = []
-    dims = (2, 4, 8, 2, 4, 8, 2, 4, 8, 2, 4, 8)
-    t_grid = np.linspace(0.0, 1.0, 21)
+def deformation_residuals(pairs, t_grid):
+    """Worst (sum identity, constraint scaling, unitarity, commutation) of deform.
 
-    worst_identity = 0.0
-    worst_unitarity = 0.0
-    worst_commutation = 0.0
-    for index, dim in enumerate(dims):
-        rep = representation.random_constrained(dim, 4.0, seed=seed + index)
-        base_sum = rep.u + rep.u.conj().T + rep.v + rep.v.conj().T
+    Over every pair and t, deform(pair, t) is compared with the pair: its
+    generator sum with (1 - t) times the pair's, entrywise; its constraint
+    value with (1 - t) times the pair's; and its images with the pair's, by
+    their commutators, entrywise. Unitarity is the images' defect.
+    """
+    identity = scaling = unitarity = commutation = 0.0
+    for rep in pairs:
+        base_sum = generator_sum(rep.u, rep.v)
+        base = representation.constraint_value(rep)
         for t in t_grid:
-            deformed = representation.deform(rep, float(t))
-            new_sum = (
-                deformed.u
-                + deformed.u.conj().T
-                + deformed.v
-                + deformed.v.conj().T
+            t = float(t)
+            moved = representation.deform(rep, t)
+            gap = generator_sum(moved.u, moved.v) - (1.0 - t) * base_sum
+            identity = max(identity, _max_entry(gap))
+            scaling = max(
+                scaling, abs(representation.constraint_value(moved) - (1.0 - t) * base)
             )
-            worst_identity = max(
-                worst_identity,
-                float(np.max(np.abs(new_sum - (1.0 - float(t)) * base_sum))),
+            unitarity = max(
+                unitarity, unitarity_defect(moved.u), unitarity_defect(moved.v)
             )
-            worst_unitarity = max(
-                worst_unitarity,
-                unitarity_defect(deformed.u),
-                unitarity_defect(deformed.v),
+            commutation = max(
+                commutation,
+                _max_entry(moved.u @ rep.u - rep.u @ moved.u),
+                _max_entry(moved.v @ rep.v - rep.v @ moved.v),
             )
-            worst_commutation = max(
-                worst_commutation,
-                float(np.max(np.abs(deformed.u @ rep.u - rep.u @ deformed.u))),
-                float(np.max(np.abs(deformed.v @ rep.v - rep.v @ deformed.v))),
-            )
-    results.append(_check("deformation_sum_identity", worst_identity, 1e-8))
-    results.append(_check("deformation_unitarity", worst_unitarity, 1e-9))
-    results.append(_check("deformation_commutation", worst_commutation, 1e-9))
+    return identity, scaling, unitarity, commutation
 
-    worst_retraction = 0.0
-    for mu_index, mu in enumerate((0.0, 1.0, 2.0, 3.0)):
-        for start in range(5):
-            rep = representation.random_constrained(
-                4, 4.0, seed=seed + 100 + 10 * mu_index + start
-            )
-            if representation.constraint_value(rep) <= mu:
-                continue
-            pulled = representation.retract_to(rep, mu)
-            worst_retraction = max(
-                worst_retraction, abs(representation.constraint_value(pulled) - mu)
-            )
-    results.append(_check("retraction_constraint", worst_retraction, 1e-8))
 
-    rep = representation.random_constrained(4, 2.0, seed=seed + 555)
-    fixed = representation.retract_to(rep, 4.0)
-    results.append(
-        _check("retraction_fixes_feasible", 0.0 if fixed is rep else 1.0, 0.5)
-    )
+def retraction_residuals(pairs, mu):
+    """Worst (level miss, zero relation, feasible pairs moved) of retract_to(., mu).
 
-    worst_zero = 0.0
-    for index in range(10):
-        dim = 2 + (index % 7)
-        u = random_unitary(dim, seed=seed + 700 + index)
+    A pair above mu must land on it; at mu = 0 its generator sum must also
+    vanish entrywise. A pair at or below mu must come back as the same object.
+    """
+    target = zero_relation = 0.0
+    moved = 0
+    for rep in pairs:
+        pulled = representation.retract_to(rep, mu)
+        if representation.constraint_value(rep) <= mu:
+            moved += pulled is not rep
+            continue
+        target = max(target, abs(representation.constraint_value(pulled) - mu))
+        if mu == 0.0:
+            total = generator_sum(pulled.u, pulled.v)
+            zero_relation = max(zero_relation, _max_entry(total))
+    return target, zero_relation, moved
+
+
+def zero_constructor_residuals(unitaries):
+    """Worst (unitarity of V, norm of U + U* + V + V*) of zero_constrained_from."""
+    unitarity = relation = 0.0
+    for u in unitaries:
         rep = representation.zero_constrained_from(u)
-        total = rep.u + rep.u.conj().T + rep.v + rep.v.conj().T
-        worst_zero = max(worst_zero, unitarity_defect(rep.v), operator_norm(total))
-    results.append(_check("zero_constructor", worst_zero, 1e-9))
-    return results
+        unitarity = max(unitarity, unitarity_defect(rep.v))
+        relation = max(relation, operator_norm(generator_sum(rep.u, rep.v)))
+    return unitarity, relation
 
 
-# --------------------------------------------------------------------------
-# homotopy suite
-# --------------------------------------------------------------------------
+def rotation_endpoint_residuals(pairs):
+    """Worst entrywise gaps (at t = 0 to composed, at pi/2 to split images)."""
+    start = end = 0.0
+    for rep in pairs:
+        path_u, path_v = homotopy.homotopy_images(rep, 0.0)
+        want_u, want_v = homotopy.composed_images(rep)
+        start = max(start, _max_entry(path_u - want_u), _max_entry(path_v - want_v))
+        path_u, path_v = homotopy.homotopy_images(rep, math.pi / 2)
+        want_u, want_v = homotopy.split_endpoint_images(rep)
+        end = max(end, _max_entry(path_u - want_u), _max_entry(path_v - want_v))
+    return start, end
 
 
-def _homotopy_suite(seed):
-    results = []
+def rotation_residuals(pairs, t_grid):
+    """Worst (sine law, generator sum against its block form) along the rotation."""
+    sine = blocks = 0.0
+    for rep in pairs:
+        for t in t_grid:
+            t = float(t)
+            sine = max(sine, homotopy.sine_law_residual(rep, t))
+            total = homotopy.interpolant_generator_sum(rep, t)
+            blocks = max(
+                blocks, _max_entry(total - homotopy.interpolant_sum_blocks(rep, t))
+            )
+    return sine, blocks
 
-    mat_u, mat_v = homotopy.wedge_generator_images(4096)
+
+def character_path_residuals(pairs, grid_size):
+    """Worst (unitarity, constraint excess, endpoint, scaling) of character paths."""
+    unitarity = excess = endpoints = scaling = 0.0
+    for rep in pairs:
+        for path in homotopy.character_homotopy_check(rep, grid_size).paths:
+            unitarity = max(unitarity, path.max_unitarity_defect)
+            excess = max(excess, path.max_constraint_excess)
+            endpoints = max(endpoints, path.start_residual, path.end_residual)
+            scaling = max(scaling, path.scaling_residual)
+    return unitarity, excess, endpoints, scaling
+
+
+def wedge_residuals(n):
+    """(basepoint mismatch, generator-sum residual) of the n-sample wedge images."""
+    mat_u, mat_v = homotopy.wedge_generator_images(n)
     basepoint = max(
         homotopy.wedge_condition_residual(mat_u),
         homotopy.wedge_condition_residual(mat_v),
     )
-    results.append(_check("wedge_basepoint", basepoint, 1e-10))
-    results.append(
-        _check(
-            "wedge_kills_generator_sum",
-            homotopy.wedge_sum_residual(mat_u, mat_v),
-            1e-12,
-        )
+    return basepoint, homotopy.wedge_sum_residual(mat_u, mat_v)
+
+
+def winding_residuals(n):
+    """|winding total - want| of the identity (1), folded (0) and squared (2) loops."""
+    points = homotopy.circle_points(n)
+    loops = ((points, 1), (homotopy.upper_fold(points), 0), (points**2, 2))
+    return tuple(
+        abs(homotopy.winding_total(homotopy.CircleSamples(values)) - want)
+        for values, want in loops
     )
 
+
+def unit_generator_residual(mus, config):
+    """Worst |estimate - 1| for the generator u, whose norm is 1 at every level."""
+    u = generator("u")
+    return max(abs(optimize.estimate_norm(u, mu, config).value - 1.0) for mu in mus)
+
+
+def oracle_line_residual(mus):
+    """Worst |oracle - mu| for x = u + u^-1 + v + v^-1, whose 1-D norm is mu."""
+    x = averaging_element()
+    return max(abs(optimize.one_dim_oracle(x, mu) - mu) for mu in mus)
+
+
+def oracle_floor_residual(element, mus, config):
+    """Worst amount by which an estimate falls below the 1-D oracle, or 0."""
+    shortfalls = (
+        optimize.one_dim_oracle(element, mu)
+        - optimize.estimate_norm(element, mu, config).value
+        for mu in mus
+    )
+    return max(0.0, *shortfalls)
+
+
+def averaging_curve_residuals(grid, config):
+    """(line deviation, largest decrease, largest increase) of the x curve.
+
+    The norm of x = u + u^-1 + v + v^-1 at level mu is mu.
+    """
+    curve = optimize.norm_curve(averaging_element(), grid, config)
+    report = bundle.continuity_report(curve)
+    decrease = max(0.0, -float(np.min(np.diff(curve.values), initial=0.0)))
+    return report.max_line_deviation, decrease, report.max_increment
+
+
+def kesten_residuals(depth):
+    """Ball norms for radii 1..depth: (|first - 2|, least increase, excess, gap).
+
+    Excess and gap are the largest norm minus 2 sqrt 3 and 2 sqrt 3 minus
+    the last norm.
+    """
+    norms = bundle.ball_norm_table(depth)
+    return (
+        abs(norms[0] - 2.0),
+        float(np.min(np.diff(norms), initial=np.inf)),
+        max(norms) - bundle.KESTEN_NORM,
+        bundle.KESTEN_NORM - norms[-1],
+    )
+
+
+# --------------------------------------------------------------------------
+# suites
+# --------------------------------------------------------------------------
+
+
+def _deformation_suite(seed):
+    pairs = [
+        representation.random_constrained(dim, 4.0, seed=seed + index)
+        for index, dim in enumerate((2, 4, 8) * 4)
+    ]
+    identity, _, unitarity, commutation = deformation_residuals(
+        pairs, np.linspace(0.0, 1.0, 21)
+    )
+    retraction = 0.0
+    for mu_index, mu in enumerate((0.0, 1.0, 2.0, 3.0)):
+        first = seed + 100 + 10 * mu_index
+        pairs = [
+            representation.random_constrained(4, 4.0, seed=first + k) for k in range(5)
+        ]
+        retraction = max(retraction, retraction_residuals(pairs, mu)[0])
+    feasible = representation.random_constrained(4, 2.0, seed=seed + 555)
+    moved = retraction_residuals([feasible], 4.0)[2]
+    unitaries = [random_unitary(2 + i % 7, seed=seed + 700 + i) for i in range(10)]
+    zero = max(zero_constructor_residuals(unitaries))
+    return [
+        _check("deformation_sum_identity", identity, 1e-8),
+        _check("deformation_unitarity", unitarity, 1e-9),
+        _check("deformation_commutation", commutation, 1e-9),
+        _check("retraction_constraint", retraction, 1e-8),
+        _check("retraction_fixes_feasible", moved, 0.5),
+        _check("zero_constructor", zero, 1e-9),
+    ]
+
+
+def _homotopy_suite(seed):
+    basepoint, wedge_sum = wedge_residuals(4096)
     rep = representation.random_constrained(2, 4.0, seed=seed + 11)
-    start_u, start_v = homotopy.homotopy_images(rep, 0.0)
-    comp_u, comp_v = homotopy.composed_images(rep)
-    start_gap = max(
-        float(np.max(np.abs(start_u - comp_u))),
-        float(np.max(np.abs(start_v - comp_v))),
-    )
-    results.append(_check("rotation_start_matches_composition", start_gap, 1e-10))
-
-    end_u, end_v = homotopy.homotopy_images(rep, math.pi / 2)
-    split_u, split_v = homotopy.split_endpoint_images(rep)
-    end_gap = max(
-        float(np.max(np.abs(end_u - split_u))),
-        float(np.max(np.abs(end_v - split_v))),
-    )
-    results.append(_check("rotation_end_matches_split", end_gap, 1e-10))
-
-    worst_sine = 0.0
-    worst_blocks = 0.0
-    t_grid = np.linspace(0.0, math.pi / 2, 33)
-    for index, (dim, mu) in enumerate(((2, 1.0), (2, 3.0), (4, 1.0), (4, 3.0))):
-        sample = representation.random_constrained(dim, mu, seed=seed + 20 + index)
-        for t in t_grid:
-            worst_sine = max(worst_sine, homotopy.sine_law_residual(sample, float(t)))
-            gap = np.max(
-                np.abs(
-                    homotopy.interpolant_generator_sum(sample, float(t))
-                    - homotopy.interpolant_sum_blocks(sample, float(t))
-                )
-            )
-            worst_blocks = max(worst_blocks, float(gap))
-    results.append(_check("rotation_sine_scaling", worst_sine, 1e-8))
-    results.append(_check("rotation_block_structure", worst_blocks, 1e-12))
-
-    worst_path = 0.0
-    for index, dim in enumerate((2, 4)):
-        sample = representation.random_constrained(dim, 3.0, seed=seed + 40 + index)
-        report = homotopy.character_homotopy_check(sample, grid_size=33)
-        for path in report.paths:
-            worst_path = max(
-                worst_path,
-                path.max_unitarity_defect,
-                path.max_constraint_excess,
-                path.start_residual,
-                path.end_residual,
-                path.scaling_residual,
-            )
-    results.append(_check("character_paths", worst_path, 1e-9))
-
-    residuals = homotopy.scalar_character_residuals()
-    results.append(_check("scalar_characters", max(residuals.values()), 1e-15))
-    results.append(
-        _check(
-            "character_kills_averaging_element",
-            abs(homotopy.character_at_i(averaging_element())),
-            1e-15,
-        )
-    )
-    return results
-
-
-# --------------------------------------------------------------------------
-# winding suite
-# --------------------------------------------------------------------------
+    start, end = rotation_endpoint_residuals([rep])
+    samples = [
+        representation.random_constrained(dim, mu, seed=seed + 20 + index)
+        for index, (dim, mu) in enumerate(((2, 1.0), (2, 3.0), (4, 1.0), (4, 3.0)))
+    ]
+    sine, blocks = rotation_residuals(samples, np.linspace(0.0, math.pi / 2, 33))
+    samples = [
+        representation.random_constrained(dim, 3.0, seed=seed + 40 + index)
+        for index, dim in enumerate((2, 4))
+    ]
+    paths = max(character_path_residuals(samples, 33))
+    scalar = max(homotopy.scalar_character_residuals().values())
+    character_x = abs(homotopy.character_at_i(averaging_element()))
+    return [
+        _check("wedge_basepoint", basepoint, 1e-10),
+        _check("wedge_kills_generator_sum", wedge_sum, 1e-12),
+        _check("rotation_start_matches_composition", start, 1e-10),
+        _check("rotation_end_matches_split", end, 1e-10),
+        _check("rotation_sine_scaling", sine, 1e-8),
+        _check("rotation_block_structure", blocks, 1e-12),
+        _check("character_paths", paths, 1e-9),
+        _check("scalar_characters", scalar, 1e-15),
+        _check("character_kills_averaging_element", character_x, 1e-15),
+    ]
 
 
 def _winding_suite(seed):
     del seed  # winding checks are deterministic by construction
-    results = []
-    n = 4096
-    points = homotopy.circle_points(n)
-
-    identity_loop = homotopy.CircleSamples(points)
-    results.append(
-        _check(
-            "winding_identity_loop",
-            abs(homotopy.winding_total(identity_loop) - 1.0),
-            1e-3,
-        )
-    )
-
-    folded_loop = homotopy.CircleSamples(homotopy.upper_fold(points))
-    results.append(
-        _check("winding_folded_loop", abs(homotopy.winding_total(folded_loop)), 1e-3)
-    )
-
-    squared_loop = homotopy.CircleSamples(points**2)
-    results.append(
-        _check(
-            "winding_squared_loop",
-            abs(homotopy.winding_total(squared_loop) - 2.0),
-            1e-3,
-        )
-    )
-    return results
-
-
-# --------------------------------------------------------------------------
-# norms suite
-# --------------------------------------------------------------------------
+    identity, folded, squared = winding_residuals(4096)
+    return [
+        _check("winding_identity_loop", identity, 1e-3),
+        _check("winding_folded_loop", folded, 1e-3),
+        _check("winding_squared_loop", squared, 1e-3),
+    ]
 
 
 def _norms_suite(seed):
-    results = []
-    small = optimize.OptimizerConfig(
-        dims=(1, 2), restarts=4, max_steps=120, seed=seed
-    )
-
-    u = generator("u")
-    worst_unit = 0.0
-    for mu in (0.0, 2.0, 4.0):
-        estimate = optimize.estimate_norm(u, mu, small)
-        worst_unit = max(worst_unit, abs(estimate.value - 1.0))
-    results.append(_check("unit_generator_norm", worst_unit, 1e-6))
-
-    x = averaging_element()
-    worst_oracle = 0.0
-    for mu in (0.5, 1.5, 2.5, 3.5):
-        worst_oracle = max(worst_oracle, abs(optimize.one_dim_oracle(x, mu) - mu))
-    results.append(_check("oracle_on_averaging_element", worst_oracle, 2e-2))
-
+    small = optimize.OptimizerConfig(dims=(1, 2), restarts=4, max_steps=120, seed=seed)
+    unit = unit_generator_residual((0.0, 2.0, 4.0), small)
+    oracle = oracle_line_residual((0.5, 1.5, 2.5, 3.5))
     mixed = parse_element("2*u - v + u*v")
-    worst_floor = 0.0
-    for mu in (1.0, 3.0):
-        estimate = optimize.estimate_norm(mixed, mu, small)
-        floor = optimize.one_dim_oracle(mixed, mu)
-        worst_floor = max(worst_floor, floor - estimate.value)
-    results.append(_check("estimate_dominates_oracle", max(0.0, worst_floor), 1e-9))
-
+    floor = oracle_floor_residual(mixed, (1.0, 3.0), small)
     first = optimize.estimate_norm(mixed, 2.0, small)
     second = optimize.estimate_norm(mixed, 2.0, small)
-    results.append(
-        _check("estimate_determinism", abs(first.value - second.value), 0.0)
-    )
-
     curve_config = optimize.OptimizerConfig(
         dims=(1, 2, 4), restarts=6, max_steps=300, seed=seed
     )
-    grid = np.arange(0.0, 4.0 + 1e-12, 0.5)
-    curve = optimize.norm_curve(x, grid, curve_config)
-    values = np.asarray(curve.values)
-    results.append(
-        _check(
-            "averaging_curve_line",
-            float(np.max(np.abs(values - grid))),
-            5e-2,
-        )
+    line, decrease, _ = averaging_curve_residuals(
+        np.arange(0.0, 4.0 + 1e-12, 0.5), curve_config
     )
-    diffs = np.diff(values)
-    regress = float(-np.min(diffs)) if diffs.size else 0.0
-    results.append(_check("averaging_curve_monotone", max(0.0, regress), 1e-12))
-    return results
-
-
-# --------------------------------------------------------------------------
-# kesten suite
-# --------------------------------------------------------------------------
+    return [
+        _check("unit_generator_norm", unit, 1e-6),
+        _check("oracle_on_averaging_element", oracle, 2e-2),
+        _check("estimate_dominates_oracle", floor, 1e-9),
+        _check("estimate_determinism", abs(first.value - second.value), 0.0),
+        _check("averaging_curve_line", line, 5e-2),
+        _check("averaging_curve_monotone", decrease, 1e-12),
+    ]
 
 
 def _kesten_suite(seed):
     del seed  # the balls are fixed graphs
-    results = []
-    norms = bundle.ball_norm_table(10)
-
-    results.append(_check("ball_depth_one", abs(norms[0] - 2.0), 1e-9))
-
-    diffs = np.diff(np.asarray(norms))
-    regress = float(-np.min(diffs)) if diffs.size else 0.0
-    results.append(_check("ball_norms_increasing", max(0.0, regress), 1e-12))
-
-    overshoot = max(0.0, max(norms) - bundle.KESTEN_NORM)
-    results.append(_check("ball_below_tree_norm", overshoot, 1e-12))
-
-    gap = bundle.KESTEN_NORM - norms[-1]
-    results.append(_check("ball_approaches_tree_norm", gap, 0.2))
-    return results
+    depth_one, least_increase, excess, gap = kesten_residuals(10)
+    return [
+        _check("ball_depth_one", depth_one, 1e-9),
+        _check("ball_norms_increasing", max(0.0, -least_increase), 1e-12),
+        _check("ball_below_tree_norm", max(0.0, excess), 1e-12),
+        _check("ball_approaches_tree_norm", gap, 0.2),
+    ]
 
 
 _SUITES = {
@@ -324,15 +359,13 @@ _SUITES = {
     "norms": _norms_suite,
     "kesten": _kesten_suite,
 }
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name, seed=0):
     """Run one suite (or ``all``) and return the list of check results."""
     if name == "all":
-        results = []
-        for suite in ("deformation", "homotopy", "winding", "norms", "kesten"):
-            results.extend(_SUITES[suite](seed))
-        return results
+        return [result for suite in _SUITES.values() for result in suite(seed)]
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
     return _SUITES[name](seed)

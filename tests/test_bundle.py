@@ -1,14 +1,8 @@
 """Cayley-ball benchmarks and curve export formats."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-
-import constrep
+from conftest import run_python
 
 from constrep.bundle import (
     CSV_HEADER,
@@ -82,16 +76,12 @@ def test_ball_norm_matches_dense_eigensolver(depth):
 
 def test_import_leaves_scipy_submodules_unloaded():
     # scipy.sparse is loaded only when a ball's adjacency matrix is built
-    src = str(Path(constrep.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     code = (
         "import sys, constrep; "
         "print(sorted(m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 
 

@@ -1,22 +1,13 @@
 """End-to-end command line behavior through ``python -m constrep``."""
 
 import json
-import subprocess
-import sys
 
 import pytest
+from conftest import run_cli
 
 from constrep.representation import constraint_value, load_representation
 
 FAST_FLAGS = ["--dims", "1,2", "--restarts", "2", "--max-steps", "60"]
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "constrep", *args],
-        capture_output=True,
-        text=True,
-    )
 
 
 def test_version_flag():
@@ -36,6 +27,12 @@ def test_estimate_unit_generator():
     assert lines[4].startswith("gap: ")
     assert float(lines[4][len("gap: "):]) <= 1e-7
     assert "converged: true" in result.stdout
+
+
+def test_estimate_bracket_at_zero_is_not_inverted():
+    result = run_cli("estimate", "-e", "u + u^-1 + v + v^-1", "-m", "0")
+    assert result.returncode == 0
+    assert "norm_estimate: 0\nupper: 0\n" in result.stdout
 
 
 def test_estimate_is_byte_deterministic():

@@ -375,6 +375,13 @@ def test_one_dim_oracle_checks_its_arguments():
         one_dim_oracle(averaging_element(), 4.5)
 
 
+def test_averaging_element_bracket_is_exact_at_zero():
+    # the antidiagonal start v = -conj(u) cancels the generator sum exactly
+    result = estimate_norm(averaging_element(), 0.0)
+    assert result.value == 0.0 <= result.upper
+    assert constraint_value(result.witness) == 0.0
+
+
 def test_estimate_dominates_oracle():
     element = parse_element("u + i*v - u*v^-1")
     for mu in (1.0, 3.0):
