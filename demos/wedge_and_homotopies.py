@@ -19,20 +19,19 @@ import numpy as np
 from constrep import (
     CircleSamples,
     character_at_i,
-    character_homotopy_check,
     circle_points,
     composed_images,
+    constraint_value,
     homotopy_images,
     parse_element,
     random_constrained,
-    sine_law_residual,
     split_endpoint_images,
     upper_fold,
     wedge_generator_images,
     wedge_substitution,
     winding_number,
 )
-from constrep.homotopy import wedge_condition_residual, wedge_sum_residual
+from constrep.verify import character_path_residuals, rotation_residuals, wedge_residuals
 
 # --- winding numbers -------------------------------------------------------
 n = 1024
@@ -43,9 +42,10 @@ print("winding of fold(z):", winding_number(CircleSamples(upper_fold(points))))
 print("fold fixes i exactly:", upper_fold(1j) == 1j)
 
 # --- generator images that kill the averaging element ----------------------
+basepoint, wedge_sum = wedge_residuals(n)
+print("\nbasepoint residual:", basepoint)
+print("sum residual of A + A* + B + B*:", wedge_sum)
 mat_u, mat_v = wedge_generator_images(n)
-print("\nbasepoint residual:", wedge_condition_residual(mat_u))
-print("sum residual of A + A* + B + B*:", wedge_sum_residual(mat_u, mat_v))
 
 # Substituting a finite pair for the two circles keeps the cancellation.
 rep = random_constrained(dim=3, mu=2.5, seed=5)
@@ -73,22 +73,17 @@ print("endpoint residual at t=pi/2:", np.max(np.abs(end_v - split_v)))
 # ||sum at t|| = sin(t) * ||sum at pi/2||.
 print("\n   t      sine-law residual")
 for t in np.linspace(0.0, math.pi / 2, 5):
-    print("%6.3f    %.3e" % (t, sine_law_residual(rep, float(t))))
+    sine, _ = rotation_residuals([rep], [t])
+    print("%6.3f    %.3e" % (t, sine))
 
 # --- character homotopies ---------------------------------------------------
 # Three unitary paths connect the distinguished scalar characters without
 # ever exceeding the starting constraint level.
-report = character_homotopy_check(rep, grid_size=17)
-print("\nbase constraint: %.6f" % report.base_constraint)
-for path in report.paths:
+paths = character_path_residuals([rep], grid_size=17)
+print("\nbase constraint: %.6f" % constraint_value(rep))
+for name, (unitarity, excess, endpoints, scaling) in paths.items():
     print(
-        "%-10s unitarity %.2e  constraint excess %.2e  endpoints %.2e / %.2e"
-        % (
-            path.name,
-            path.max_unitarity_defect,
-            path.max_constraint_excess,
-            path.start_residual,
-            path.end_residual,
-        )
+        "%-10s unitarity %.2e  constraint excess %.2e  endpoints %.2e  scaling %.2e"
+        % (name, unitarity, excess, endpoints, scaling)
     )
-print("all paths pass at 1e-9:", report.passed(1e-9))
+print("all paths pass at 1e-9:", max(map(max, paths.values())) <= 1e-9)

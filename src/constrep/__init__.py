@@ -18,11 +18,12 @@ the free group on two generators. It provides:
   one-dimensional oracles, l1 and radial spectral upper bounds;
 * :mod:`constrep.homotopy` -- sampled circle loops, winding numbers, the
   wedge construction whose images annihilate the averaging element, and
-  the rotation/character homotopies with their exact scaling laws;
+  the rotation/character homotopies with the closed forms of their
+  scaling laws;
 * :mod:`constrep.bundle` -- Cayley-tree ball benchmarks against the
   2*sqrt(3) tree norm, and CSV/SVG export of norm curves;
-* :mod:`constrep.verify` -- named self-check suites behind ``constrep
-  verify``.
+* :mod:`constrep.verify` -- one residual function per exact identity,
+  and the named self-check suites behind ``constrep verify``.
 """
 
 from .freegroup import (
@@ -75,12 +76,10 @@ from .homotopy import (
     WedgeMatrix,
     WedgePair,
     character_at_i,
-    character_homotopy_check,
     character_path,
     circle_points,
     composed_images,
     homotopy_images,
-    sine_law_residual,
     split_endpoint_images,
     upper_fold,
     upper_fold_matrix,
@@ -93,7 +92,6 @@ from .bundle import (
     KESTEN_NORM,
     cayley_ball,
     cayley_ball_norm,
-    continuity_report,
     export_csv,
     read_curve_csv,
     render_svg,
@@ -150,12 +148,10 @@ __all__ = [
     "WedgeMatrix",
     "WedgePair",
     "character_at_i",
-    "character_homotopy_check",
     "character_path",
     "circle_points",
     "composed_images",
     "homotopy_images",
-    "sine_law_residual",
     "split_endpoint_images",
     "upper_fold",
     "upper_fold_matrix",
@@ -167,7 +163,6 @@ __all__ = [
     "KESTEN_NORM",
     "cayley_ball",
     "cayley_ball_norm",
-    "continuity_report",
     "export_csv",
     "read_curve_csv",
     "render_svg",

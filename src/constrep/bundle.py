@@ -6,20 +6,15 @@ vertices. Its adjacency norm increases with R to 2 * sqrt(3), the spectral
 radius of the tree (Kesten 1959). The norm comes from an (R+1) x (R+1)
 radial Jacobi matrix, whose size grows with R rather than with the vertex
 count; the sparse adjacency matrix itself is built only as a small-depth
-cross-check. The module also compares curve estimates against the
-reference line and serializes estimated norm curves as CSV and
+cross-check. The module also serializes estimated norm curves as CSV and
 deterministic SVG plots.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .freegroup import averaging_element
-from .optimize import one_dim_oracle
 
 KESTEN_NORM = 2.0 * math.sqrt(3.0)
 MAX_BALL_DEPTH = 14
@@ -115,55 +110,8 @@ def ball_norm_table(max_depth):
 
 
 # --------------------------------------------------------------------------
-# Curve diagnostics and export
+# Curve export
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CurveReport:
-    """Sanity diagnostics for an estimated norm curve."""
-
-    monotone: bool
-    max_increment: float
-    max_oracle_shortfall: float
-    max_line_deviation: float
-
-    def passed(self, increment_limit, deviation_limit):
-        return (
-            self.monotone
-            and self.max_increment <= increment_limit
-            and self.max_oracle_shortfall <= 1e-9
-            and self.max_line_deviation <= deviation_limit
-        )
-
-
-def continuity_report(curve):
-    """Check a curve for monotonicity, increments, and oracle floors.
-
-    The one-dimensional oracle is a lower bound for every constraint level,
-    so each estimate must reach it up to rounding. The deviation from the
-    diagonal line (value equal to the constraint level) is only meaningful
-    for the averaging element and reported as 0 otherwise.
-    """
-    values = np.asarray(curve.values)
-    grid = np.asarray(curve.grid)
-    diffs = np.diff(values)
-    monotone = bool(np.all(diffs >= 0.0))
-    max_increment = float(np.max(diffs)) if diffs.size else 0.0
-    worst_shortfall = 0.0
-    for mu, value in zip(grid, values):
-        floor = one_dim_oracle(curve.element, float(mu))
-        worst_shortfall = max(worst_shortfall, floor - value)
-    if curve.element == averaging_element():
-        line_deviation = float(np.max(np.abs(values - grid)))
-    else:
-        line_deviation = 0.0
-    return CurveReport(
-        monotone=monotone,
-        max_increment=max_increment,
-        max_oracle_shortfall=max(0.0, worst_shortfall),
-        max_line_deviation=line_deviation,
-    )
 
 
 CSV_HEADER = "mu,estimate,dim,restarts,converged"
@@ -321,8 +269,6 @@ __all__ = [
     "cayley_ball",
     "cayley_ball_norm",
     "ball_norm_table",
-    "CurveReport",
-    "continuity_report",
     "CSV_HEADER",
     "export_csv",
     "read_curve_csv",

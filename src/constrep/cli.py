@@ -16,6 +16,7 @@ Exit codes: 0 on success, 1 on verification failure or runtime/IO errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -27,14 +28,8 @@ from .freegroup import ParseError, format_element, parse_element
 
 MAX_GRID_POINTS = 10001
 
-_CONFIG_KEYS = (
-    "dims",
-    "restarts",
-    "max_steps",
-    "initial_step",
-    "step_decay",
-    "stall_tolerance",
-    "seed",
+_CONFIG_KEYS = tuple(
+    field.name for field in dataclasses.fields(optimize.OptimizerConfig)
 )
 
 

@@ -12,6 +12,9 @@ block-doubled embedding of a constrained pair with scalar characters:
   the constraint functional scales exactly like sin t;
 * straight-line homotopies from those characters to the scalar character
   sending both generators to i.
+
+It holds constructions and closed forms only; :mod:`constrep.verify`
+measures every identity among them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freegroup import GroupRingElement
-from .linalg import apply_circle_function, apply_hermitian_function, operator_norm
+from .linalg import apply_circle_function, apply_hermitian_function
 
 MIN_SAMPLES = 8
 _BASEPOINT_TOL = 1e-10
@@ -262,28 +265,6 @@ def wedge_generator_images(n):
     return mat_u, mat_v
 
 
-def wedge_condition_residual(matrix):
-    """Largest basepoint mismatch |f(1) - g(1)| over the entries."""
-    worst = 0.0
-    for row in matrix.entries:
-        for pair in row:
-            worst = max(worst, abs(pair.first.values[0] - pair.second.values[0]))
-    return worst
-
-
-def wedge_sum_residual(matrix_u, matrix_v):
-    """Max sampled entry of A + A* + B + B* for the two generator images."""
-    worst = 0.0
-    for which in (0, 1):
-        a = matrix_u.component_arrays(which)
-        b = matrix_v.component_arrays(which)
-        for r in range(2):
-            for c in range(2):
-                total = a[r][c] + np.conj(a[c][r]) + b[r][c] + np.conj(b[c][r])
-                worst = max(worst, float(np.max(np.abs(total))))
-    return worst
-
-
 def wedge_substitution(matrix, rep):
     """Substitute a symbolic wedge matrix into a pair; returns a 4d x 4d matrix.
 
@@ -394,13 +375,8 @@ def homotopy_images(rep, t):
     return image_u, image_v
 
 
-def interpolant_generator_sum(rep, t):
-    """Value of the averaging element under the rotation-path images."""
-    return generator_sum(*homotopy_images(rep, t))
-
-
 def interpolant_sum_blocks(rep, t):
-    """Closed form of :func:`interpolant_generator_sum`.
+    """Closed form of the generator sum of :func:`homotopy_images` at t.
 
     With x the generator-plus-adjoint sum of the pair, s = sin t, c = cos t,
     the sum is the 4x4 block matrix [[s^2 x, 0, 0, cs x], [0,0,0,0],
@@ -417,13 +393,6 @@ def interpolant_sum_blocks(rep, t):
     out[3 * d : 4 * d, 0:d] = c * s * x
     out[3 * d : 4 * d, 3 * d : 4 * d] = -s * s * x
     return out
-
-
-def sine_law_residual(rep, t):
-    """|  ||sum along the path||  -  sin t * ||sum at the pair||  |."""
-    total = interpolant_generator_sum(rep, t)
-    x = generator_sum(rep.u, rep.v)
-    return abs(operator_norm(total) - math.sin(float(t)) * operator_norm(x))
 
 
 # --------------------------------------------------------------------------
@@ -468,137 +437,10 @@ def character_path(rep, which, t):
         k_v = (rep.u + rep.u.conj().T) / 2.0
 
         def fn(x):
-            return complex(-t * x, math.sqrt(max(0.0, 1.0 - t * t * x * x)))
+            return -t * x + 1j * np.sqrt(np.maximum(0.0, 1.0 - t * t * x * x))
 
         return (
             apply_hermitian_function(k_u, fn),
             apply_hermitian_function(k_v, fn),
         )
     raise ValueError(f"unknown path {which!r}; expected one of {CHARACTER_PATHS}")
-
-
-@dataclass(frozen=True)
-class CharacterPathReport:
-    """Grid diagnostics for one character homotopy."""
-
-    name: str
-    max_unitarity_defect: float
-    max_constraint_excess: float
-    start_residual: float
-    end_residual: float
-    scaling_residual: float
-
-    def passed(self, tol=1e-9):
-        return (
-            self.max_unitarity_defect <= tol
-            and self.max_constraint_excess <= tol
-            and self.start_residual <= tol
-            and self.end_residual <= tol
-            and self.scaling_residual <= tol
-        )
-
-
-@dataclass(frozen=True)
-class CharacterHomotopyReport:
-    """Diagnostics for all three character homotopies of one pair."""
-
-    base_constraint: float
-    paths: tuple
-
-    def passed(self, tol=1e-9):
-        return all(path.passed(tol) for path in self.paths)
-
-
-def character_homotopy_check(rep, grid_size=33):
-    """Walk all three character homotopies on a uniform parameter grid.
-
-    Checks that the images stay unitary, that the constraint never exceeds
-    the pair's own constraint value (plus rounding), that the endpoints match
-    the intended characters, and that along the fold-swap path the constraint
-    scales exactly linearly in the parameter.
-    """
-    from .linalg import unitarity_defect  # local import to keep module head light
-
-    grid_size = int(grid_size)
-    if grid_size < 2:
-        raise ValueError("grid must have at least 2 points")
-    d = rep.dim
-    eye = np.eye(d, dtype=complex)
-    base = operator_norm(generator_sum(rep.u, rep.v))
-    reports = []
-
-    endpoint_specs = {
-        "plus_minus": (eye, -eye),
-        "minus_plus": (-eye, eye),
-        "fold_swap": (1j * eye, 1j * eye),
-    }
-    final_specs = {
-        "plus_minus": (1j * eye, 1j * eye),
-        "minus_plus": (1j * eye, 1j * eye),
-        "fold_swap": (upper_fold_matrix(rep.v), upper_fold_matrix(rep.u)),
-    }
-
-    for name in CHARACTER_PATHS:
-        top = 1.0 if name == "fold_swap" else math.pi / 2
-        grid = np.linspace(0.0, top, grid_size)
-        worst_defect = 0.0
-        worst_excess = 0.0
-        worst_scaling = 0.0
-        for t in grid:
-            u_t, v_t = character_path(rep, name, float(t))
-            worst_defect = max(
-                worst_defect, unitarity_defect(u_t), unitarity_defect(v_t)
-            )
-            value = operator_norm(generator_sum(u_t, v_t))
-            worst_excess = max(worst_excess, value - base)
-            if name == "fold_swap":
-                worst_scaling = max(worst_scaling, abs(value - float(t) * base))
-        start_u, start_v = character_path(rep, name, 0.0)
-        end_u, end_v = character_path(rep, name, float(top))
-        want_start = endpoint_specs[name]
-        want_end = final_specs[name]
-        start_residual = max(
-            float(np.max(np.abs(start_u - want_start[0]))),
-            float(np.max(np.abs(start_v - want_start[1]))),
-        )
-        end_residual = max(
-            float(np.max(np.abs(end_u - want_end[0]))),
-            float(np.max(np.abs(end_v - want_end[1]))),
-        )
-        reports.append(
-            CharacterPathReport(
-                name=name,
-                max_unitarity_defect=worst_defect,
-                max_constraint_excess=max(0.0, worst_excess),
-                start_residual=start_residual,
-                end_residual=end_residual,
-                scaling_residual=worst_scaling,
-            )
-        )
-    return CharacterHomotopyReport(base_constraint=base, paths=tuple(reports))
-
-
-def scalar_character_residuals():
-    """Named exact identities of the scalar characters, as residuals.
-
-    Returns a dict mapping check names to float residuals: the fold fixes i,
-    the wedge character sends both doubled generator images to i times the
-    2x2 identity, and scaling the ring unit commutes with the character.
-    """
-    residuals = {}
-    residuals["fold_fixes_i"] = abs(upper_fold(1j) - 1j)
-    sym_u, sym_v = _phi_symbolic()
-    worst = 0.0
-    for sym in (sym_u, sym_v):
-        for r in range(2):
-            for c in range(2):
-                value = scalar_character(sym[r][c])
-                want = 1j if r == c else 0j
-                worst = max(worst, abs(value - want))
-    residuals["wedge_character_diagonal"] = worst
-    worst = 0.0
-    for lam in (1.0, -2.5, complex(1.0, 2.0), complex(-0.25, -3.5)):
-        element = GroupRingElement.from_scalar(lam)
-        worst = max(worst, abs(character_at_i(element) - lam))
-    residuals["unit_embedding_identity"] = worst
-    return residuals

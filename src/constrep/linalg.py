@@ -117,19 +117,23 @@ def unitary_eig(w):
 def apply_circle_function(w, fn):
     """Functional calculus g(W) for a unitary W and a function on the circle.
 
-    ``fn`` is evaluated on each eigenvalue (scalar complex in, complex out).
-    If |g| = 1 on the spectrum the result is unitary up to rounding, and it
-    always commutes with W up to the decomposition residual.
+    ``fn`` is called once, on the complex array of eigenvalues, and returns
+    g elementwise. If |g| = 1 on the spectrum the result is unitary up to
+    rounding, and it always commutes with W up to the decomposition residual.
     """
     dec = unitary_eig(w)
-    values = np.array([complex(fn(complex(z))) for z in dec.eigenvalues])
+    values = np.asarray(fn(dec.eigenvalues), dtype=complex)
     return (dec.vectors * values) @ dec.vectors.conj().T
 
 
 def apply_hermitian_function(a, fn):
-    """Functional calculus g(A) for a Hermitian A and a real-spectrum function."""
+    """Functional calculus g(A) for a Hermitian A and a real-spectrum function.
+
+    ``fn`` is called once, on the real array of eigenvalues, and returns g
+    elementwise.
+    """
     dec = hermitian_eig(a)
-    values = np.array([complex(fn(float(x))) for x in dec.eigenvalues])
+    values = np.asarray(fn(dec.eigenvalues), dtype=complex)
     return (dec.vectors * values) @ dec.vectors.conj().T
 
 

@@ -43,12 +43,12 @@ from .representation import (
     evaluate,
     letter_images,
     one_dim_rep,
+    random_constrained,
     retract_to,
 )
 from .linalg import (
     NonUnitaryError,
     UNITARY_TOL,
-    haar_unitary,
     hermitian_eig,
     top_singular_triple,
     unitarity_defect,
@@ -148,8 +148,8 @@ class NormEstimate:
 
     @property
     def gap(self):
-        """Width of the bracket, never negative."""
-        return max(0.0, self.upper - self.value)
+        """Width of the bracket, ``upper - value``; negative if it is inverted."""
+        return self.upper - self.value
 
 
 @dataclass(frozen=True)
@@ -409,10 +409,7 @@ def _candidate_starts(element, mu, config, pool):
     for dim in config.dims:
         for restart in range(config.restarts):
             seed = np.random.SeedSequence((int(config.seed), dim, restart))
-            rng = np.random.default_rng(seed)
-            u = haar_unitary(dim, rng)
-            v = haar_unitary(dim, rng)
-            yield retract_to(Representation(u, v), mu)
+            yield random_constrained(dim, mu, seed=seed)
 
 
 def estimate_norm(element, mu, config=None, pool=()):

@@ -10,7 +10,6 @@ so ``retract_to`` can land on a target level in one shot.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,20 +132,20 @@ def deformation_function(t):
     Shrinks the real part by the factor (1-t) while keeping the point on the
     circle; the upper semicircle (Im >= 0, including both real points) maps
     into the upper semicircle and the open lower half into the lower.
-    Consequently g(z) + conj(g(conj(z))) = (1-t)(z + conj(z)) pointwise, which
-    is what makes the constraint scale exactly.
+    Consequently g(z) + conj(g(z)) = (1-t)(z + conj(z)) pointwise, which is
+    what makes the constraint scale exactly. The map works on scalars and
+    arrays. Re g(z) is (1-t) Re z bit for bit, so t = 1 lands exactly on
+    +-i, and the imaginary part sqrt((1-c)(1+c)) keeps full relative
+    accuracy where 1 - c^2 would cancel near |c| = 1.
     """
     t = float(t)
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"deformation parameter must lie in [0, 1], got {t}")
 
     def fn(z):
-        c = (1.0 - t) * z.real
-        c = min(1.0, max(-1.0, c))
-        angle = math.acos(c)
-        if z.imag >= 0:
-            return complex(math.cos(angle), math.sin(angle))
-        return complex(math.cos(angle), -math.sin(angle))
+        c = np.clip((1.0 - t) * np.real(z), -1.0, 1.0)
+        s = np.sqrt((1.0 - c) * (1.0 + c))
+        return c + 1j * np.where(np.imag(z) >= 0, s, -s)
 
     return fn
 
@@ -211,8 +210,8 @@ def zero_constrained_from(u):
     k = -(u + u.conj().T) / 2.0
 
     def fn(x):
-        xc = min(1.0, max(-1.0, x))
-        return complex(xc, math.sqrt(max(0.0, 1.0 - xc * xc)))
+        xc = np.clip(x, -1.0, 1.0)
+        return xc + 1j * np.sqrt(np.maximum(0.0, 1.0 - xc * xc))
 
     v = apply_hermitian_function(k, fn)
     return Representation(u, v)

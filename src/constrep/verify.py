@@ -21,8 +21,7 @@ Function, the checks it serves, and the criteria:
 * :func:`wedge_residuals`: ``wedge_*``; 9.
 * :func:`winding_residuals`: ``winding_*``; 10.
 * :func:`character_path_residuals`: ``character_paths``; 11.
-* :func:`~constrep.homotopy.scalar_character_residuals`:
-  ``scalar_characters``; 12.
+* :func:`scalar_character_residuals`: ``scalar_characters``; 12.
 * :func:`kesten_residuals`: ``ball_*``; 13.
 
 ``estimate_determinism`` and ``character_kills_averaging_element`` serve
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bundle, homotopy, optimize, representation
-from .freegroup import averaging_element, generator, parse_element
+from .freegroup import GroupRingElement, averaging_element, generator, parse_element
 from .homotopy import generator_sum
 from .linalg import operator_norm, random_unitary, unitarity_defect
 
@@ -151,13 +150,19 @@ def rotation_endpoint_residuals(pairs):
 
 
 def rotation_residuals(pairs, t_grid):
-    """Worst (sine law, generator sum against its block form) along the rotation."""
+    """Worst (sine law, generator sum against its block form) along the rotation.
+
+    The sine law compares the norm of the generator sum of the path images
+    at t with sin t times the pair's constraint value; the block form is
+    :func:`~constrep.homotopy.interpolant_sum_blocks`, compared entrywise.
+    """
     sine = blocks = 0.0
     for rep in pairs:
+        base = operator_norm(generator_sum(rep.u, rep.v))
         for t in t_grid:
             t = float(t)
-            sine = max(sine, homotopy.sine_law_residual(rep, t))
-            total = homotopy.interpolant_generator_sum(rep, t)
+            total = generator_sum(*homotopy.homotopy_images(rep, t))
+            sine = max(sine, abs(operator_norm(total) - math.sin(t) * base))
             blocks = max(
                 blocks, _max_entry(total - homotopy.interpolant_sum_blocks(rep, t))
             )
@@ -165,25 +170,97 @@ def rotation_residuals(pairs, t_grid):
 
 
 def character_path_residuals(pairs, grid_size):
-    """Worst (unitarity, constraint excess, endpoint, scaling) of character paths."""
-    unitarity = excess = endpoints = scaling = 0.0
+    """Worst (unitarity, constraint excess, endpoint, scaling) per character path.
+
+    Returns a dict from each name in ``CHARACTER_PATHS`` to its worst
+    residuals over the pairs, each path walked on ``grid_size`` uniform
+    parameters: the images' unitarity defect; how far the constraint value
+    exceeds the pair's own; the entrywise gap of the first and last images
+    to the intended characters; and, along ``fold_swap`` only, the gap
+    between the constraint value and t times the pair's.
+    """
+    worst = dict.fromkeys(homotopy.CHARACTER_PATHS, (0.0, 0.0, 0.0, 0.0))
     for rep in pairs:
-        for path in homotopy.character_homotopy_check(rep, grid_size).paths:
-            unitarity = max(unitarity, path.max_unitarity_defect)
-            excess = max(excess, path.max_constraint_excess)
-            endpoints = max(endpoints, path.start_residual, path.end_residual)
-            scaling = max(scaling, path.scaling_residual)
-    return unitarity, excess, endpoints, scaling
+        eye = np.eye(rep.dim, dtype=complex)
+        base = operator_norm(generator_sum(rep.u, rep.v))
+        ends = {
+            "plus_minus": ((eye, -eye), (1j * eye, 1j * eye)),
+            "minus_plus": ((-eye, eye), (1j * eye, 1j * eye)),
+            "fold_swap": (
+                (1j * eye, 1j * eye),
+                (homotopy.upper_fold_matrix(rep.v), homotopy.upper_fold_matrix(rep.u)),
+            ),
+        }
+        for name in homotopy.CHARACTER_PATHS:
+            unitarity, excess, endpoints, scaling = worst[name]
+            top = 1.0 if name == "fold_swap" else math.pi / 2
+            grid = [float(t) for t in np.linspace(0.0, top, grid_size)]
+            images = [homotopy.character_path(rep, name, t) for t in grid]
+            for t, (u_t, v_t) in zip(grid, images):
+                unitarity = max(
+                    unitarity, unitarity_defect(u_t), unitarity_defect(v_t)
+                )
+                value = operator_norm(generator_sum(u_t, v_t))
+                excess = max(excess, value - base)
+                if name == "fold_swap":
+                    scaling = max(scaling, abs(value - t * base))
+            start_and_end = (images[0], images[-1])
+            for (u_t, v_t), (want_u, want_v) in zip(start_and_end, ends[name]):
+                endpoints = max(
+                    endpoints, _max_entry(u_t - want_u), _max_entry(v_t - want_v)
+                )
+            worst[name] = (unitarity, excess, endpoints, scaling)
+    return worst
 
 
 def wedge_residuals(n):
-    """(basepoint mismatch, generator-sum residual) of the n-sample wedge images."""
+    """(basepoint mismatch, generator-sum residual) of the n-sample wedge images.
+
+    The mismatch is the largest |f(1) - g(1)| over the entries of both
+    images; the residual is the largest sampled entry of A + A* + B + B*.
+    """
     mat_u, mat_v = homotopy.wedge_generator_images(n)
     basepoint = max(
-        homotopy.wedge_condition_residual(mat_u),
-        homotopy.wedge_condition_residual(mat_v),
+        abs(pair.first.values[0] - pair.second.values[0])
+        for matrix in (mat_u, mat_v)
+        for row in matrix.entries
+        for pair in row
     )
-    return basepoint, homotopy.wedge_sum_residual(mat_u, mat_v)
+    total = 0.0
+    for which in (0, 1):
+        a = mat_u.component_arrays(which)
+        b = mat_v.component_arrays(which)
+        for r in range(2):
+            for c in range(2):
+                entry = a[r][c] + np.conj(a[c][r]) + b[r][c] + np.conj(b[c][r])
+                total = max(total, float(np.max(np.abs(entry))))
+    return basepoint, total
+
+
+def scalar_character_residuals():
+    """Named exact identities of the scalar characters, as residuals.
+
+    Returns a dict from check name to residual: the fold fixes i
+    (``fold_fixes_i``), the character at i sends both doubled generator
+    images to i times the 2x2 identity (``wedge_character_diagonal``), and
+    scaling the ring unit commutes with the character
+    (``unit_embedding_identity``).
+    """
+    diagonal = 0.0
+    for matrix in homotopy.wedge_generator_images(homotopy.MIN_SAMPLES):
+        for r, row in enumerate(matrix.entries):
+            for c, pair in enumerate(row):
+                value = homotopy.scalar_character(pair.expr)
+                diagonal = max(diagonal, abs(value - (1j if r == c else 0j)))
+    unit = max(
+        abs(homotopy.character_at_i(GroupRingElement.from_scalar(lam)) - lam)
+        for lam in (1.0, -2.5, complex(1.0, 2.0), complex(-0.25, -3.5))
+    )
+    return {
+        "fold_fixes_i": abs(homotopy.upper_fold(1j) - 1j),
+        "wedge_character_diagonal": diagonal,
+        "unit_embedding_identity": unit,
+    }
 
 
 def winding_residuals(n):
@@ -218,15 +295,19 @@ def oracle_floor_residual(element, mus, config):
     return max(0.0, *shortfalls)
 
 
-def averaging_curve_residuals(grid, config):
-    """(line deviation, largest decrease, largest increase) of the x curve.
+def averaging_curve_residuals(curve):
+    """(line deviation, largest decrease, largest increase) of a curve of x.
 
-    The norm of x = u + u^-1 + v + v^-1 at level mu is mu.
+    ``curve`` is a :class:`~constrep.optimize.NormCurve` of
+    x = u + u^-1 + v + v^-1, whose norm at level mu is mu. The residuals are
+    read from its values alone; the 1-D oracle floor is
+    :func:`oracle_floor_residual`'s fact.
     """
-    curve = optimize.norm_curve(averaging_element(), grid, config)
-    report = bundle.continuity_report(curve)
-    decrease = max(0.0, -float(np.min(np.diff(curve.values), initial=0.0)))
-    return report.max_line_deviation, decrease, report.max_increment
+    values = np.asarray(curve.values)
+    steps = np.diff(values)
+    line = float(np.max(np.abs(values - np.asarray(curve.grid))))
+    decrease = max(0.0, -float(np.min(steps, initial=0.0)))
+    return line, decrease, float(np.max(steps, initial=0.0))
 
 
 def kesten_residuals(depth):
@@ -291,8 +372,8 @@ def _homotopy_suite(seed):
         representation.random_constrained(dim, 3.0, seed=seed + 40 + index)
         for index, dim in enumerate((2, 4))
     ]
-    paths = max(character_path_residuals(samples, 33))
-    scalar = max(homotopy.scalar_character_residuals().values())
+    paths = max(map(max, character_path_residuals(samples, 33).values()))
+    scalar = max(scalar_character_residuals().values())
     character_x = abs(homotopy.character_at_i(averaging_element()))
     return [
         _check("wedge_basepoint", basepoint, 1e-10),
@@ -328,9 +409,10 @@ def _norms_suite(seed):
     curve_config = optimize.OptimizerConfig(
         dims=(1, 2, 4), restarts=6, max_steps=300, seed=seed
     )
-    line, decrease, _ = averaging_curve_residuals(
-        np.arange(0.0, 4.0 + 1e-12, 0.5), curve_config
+    curve = optimize.norm_curve(
+        averaging_element(), np.arange(0.0, 4.0 + 1e-12, 0.5), curve_config
     )
+    line, decrease, _ = averaging_curve_residuals(curve)
     return [
         _check("unit_generator_norm", unit, 1e-6),
         _check("oracle_on_averaging_element", oracle, 2e-2),

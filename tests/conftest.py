@@ -5,7 +5,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from constrep.linalg import hermitian_eig
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def loop_calculus(a, fn):
+    """g(A) for Hermitian A, calling the scalar ``fn`` once per eigenvalue."""
+    dec = hermitian_eig(a)
+    values = np.array([complex(fn(float(x))) for x in dec.eigenvalues])
+    return (dec.vectors * values) @ dec.vectors.conj().T
 
 
 def run_python(*args, cwd=None):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 from conftest import run_cli
 
-from constrep import homotopy, optimize, representation, verify
+from constrep import optimize, representation, verify
 from constrep.freegroup import averaging_element
 from constrep.linalg import random_unitary
 
@@ -101,9 +101,8 @@ def test_criterion_03_zero_constrained_constructor():
 def test_criterion_04_averaging_norm_curve():
     start = time.perf_counter()
     grid = np.arange(0.0, 4.0 + 1e-12, 0.25)
-    deviation, decrease, max_increment = verify.averaging_curve_residuals(
-        grid, optimize.OptimizerConfig()
-    )
+    curve = optimize.norm_curve(averaging_element(), grid, optimize.OptimizerConfig())
+    deviation, decrease, max_increment = verify.averaging_curve_residuals(curve)
     elapsed = time.perf_counter() - start
     monotone = decrease == 0.0
     ok = (
@@ -176,9 +175,8 @@ def test_criterion_10_winding_numbers():
 
 
 def test_criterion_11_character_homotopies():
-    worst_unitary, worst_excess, _, worst_scaling = verify.character_path_residuals(
-        _twenty_reference_pairs(), 33
-    )
+    paths = verify.character_path_residuals(_twenty_reference_pairs(), 33)
+    worst_unitary, worst_excess, _, worst_scaling = map(max, zip(*paths.values()))
     ok = worst_unitary <= 1e-9 and worst_excess <= 1e-9 and worst_scaling <= 1e-9
     _report(
         11,
@@ -190,7 +188,7 @@ def test_criterion_11_character_homotopies():
 
 
 def test_criterion_12_scalar_characters():
-    residuals = homotopy.scalar_character_residuals()
+    residuals = verify.scalar_character_residuals()
     worst = residuals["wedge_character_diagonal"]
     fold_exact = residuals["fold_fixes_i"] == 0.0
     ok = worst == 0.0 and fold_exact

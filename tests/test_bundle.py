@@ -11,12 +11,11 @@ from constrep.bundle import (
     ball_vertex_count,
     cayley_ball,
     cayley_ball_norm,
-    continuity_report,
     export_csv,
     read_curve_csv,
     render_svg,
 )
-from constrep.freegroup import averaging_element, parse_element
+from constrep.freegroup import averaging_element
 from constrep.optimize import OptimizerConfig, norm_curve
 
 TINY = OptimizerConfig(dims=(1,), restarts=2, max_steps=60, seed=0)
@@ -140,22 +139,3 @@ def test_svg_rendering_is_deterministic(tmp_path):
     payload = render_svg(curve, path)
     assert payload == first
     assert path.read_text(encoding="ascii") == first
-
-
-def test_continuity_report_on_averaging_curve():
-    x = averaging_element()
-    curve = norm_curve(x, [0.0, 0.5, 1.0, 1.5, 2.0], TINY)
-    report = continuity_report(curve)
-    assert report.monotone
-    assert report.max_increment <= 0.55
-    assert report.max_oracle_shortfall <= 1e-9
-    assert report.max_line_deviation <= 5e-2
-    assert report.passed(increment_limit=0.55, deviation_limit=5e-2)
-
-
-def test_continuity_report_other_element_skips_line():
-    a = parse_element("u + v")
-    curve = norm_curve(a, [1.0, 2.0], TINY)
-    report = continuity_report(curve)
-    assert report.max_line_deviation == 0.0
-    assert report.monotone

@@ -5,7 +5,8 @@ import json
 import pytest
 from conftest import run_cli
 
-from constrep.representation import constraint_value, load_representation
+from constrep.optimize import NormEstimate
+from constrep.representation import constraint_value, load_representation, one_dim_rep
 
 FAST_FLAGS = ["--dims", "1,2", "--restarts", "2", "--max-steps", "60"]
 
@@ -33,6 +34,11 @@ def test_estimate_bracket_at_zero_is_not_inverted():
     result = run_cli("estimate", "-e", "u + u^-1 + v + v^-1", "-m", "0")
     assert result.returncode == 0
     assert "norm_estimate: 0\nupper: 0\n" in result.stdout
+    # the gap is upper - value, unclamped, so an inverted bracket would show
+    fields = dict(line.split(": ") for line in result.stdout.splitlines())
+    assert float(fields["gap"]) == float(fields["upper"]) - float(fields["norm_estimate"])
+    inverted = NormEstimate(1.0, one_dim_rep(0.0, 0.0), 1, 0, 0, True, upper=0.5)
+    assert inverted.gap == -0.5
 
 
 def test_estimate_is_byte_deterministic():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import loop_calculus
 
 from constrep.homotopy import (
     CircleGen,
@@ -13,30 +14,24 @@ from constrep.homotopy import (
     WedgeMatrix,
     WedgePair,
     character_at_i,
-    character_homotopy_check,
     character_path,
     circle_points,
     composed_images,
     homotopy_images,
-    interpolant_generator_sum,
-    interpolant_sum_blocks,
     sample_expr,
     scalar_character,
-    scalar_character_residuals,
-    sine_law_residual,
     split_endpoint_images,
     upper_fold,
     upper_fold_matrix,
-    wedge_condition_residual,
     wedge_generator_images,
     wedge_substitution,
-    wedge_sum_residual,
     winding_number,
     winding_total,
 )
 from constrep.freegroup import averaging_element, parse_element
 from constrep.linalg import unitarity_defect
 from constrep.representation import constraint_value, random_constrained
+from constrep.verify import rotation_residuals, scalar_character_residuals, wedge_residuals
 
 
 def test_upper_fold_scalar_values():
@@ -127,10 +122,8 @@ def test_wedge_pair_requires_matching_basepoint():
 
 @pytest.mark.parametrize("n", [8, 64, 4096, 8192])
 def test_wedge_images_satisfy_conditions(n):
+    assert wedge_residuals(n) == (0.0, 0.0)
     mat_u, mat_v = wedge_generator_images(n)
-    assert wedge_condition_residual(mat_u) == 0.0
-    assert wedge_condition_residual(mat_v) == 0.0
-    assert wedge_sum_residual(mat_u, mat_v) == 0.0
     for matrix in (mat_u, mat_v):
         for k in (0, 1):
             diag = matrix.entry(k, k)
@@ -220,16 +213,14 @@ def test_homotopy_images_stay_unitary():
 def test_sine_law_on_grid():
     for seed, (dim, mu) in enumerate(((2, 1.0), (4, 3.0))):
         rep = random_constrained(dim, mu, seed=50 + seed)
-        for t in np.linspace(0.0, math.pi / 2, 17):
-            assert sine_law_residual(rep, float(t)) < 1e-8
+        sine, _ = rotation_residuals([rep], np.linspace(0.0, math.pi / 2, 17))
+        assert sine < 1e-8
 
 
 def test_interpolant_block_structure():
     rep = random_constrained(2, 3.0, seed=51)
-    for t in (0.0, 0.3, 1.1, math.pi / 2):
-        got = interpolant_generator_sum(rep, t)
-        want = interpolant_sum_blocks(rep, t)
-        assert np.max(np.abs(got - want)) < 1e-12
+    _, blocks = rotation_residuals([rep], (0.0, 0.3, 1.1, math.pi / 2))
+    assert blocks < 1e-12
 
 
 def test_character_path_fold_swap_is_exact_at_zero():
@@ -256,6 +247,18 @@ def test_character_path_fold_swap_scaling():
         assert abs(value - float(t) * base) < 1e-9
 
 
+def test_character_path_fold_swap_matches_the_scalar_loop():
+    rep = random_constrained(3, 3.0, seed=58)
+    for t in (0.3, 0.7, 1.0):
+
+        def scalar(x):
+            return complex(-t * x, math.sqrt(max(0.0, 1.0 - t * t * x * x)))
+
+        u_t, v_t = character_path(rep, "fold_swap", t)
+        assert np.array_equal(u_t, loop_calculus((rep.v + rep.v.conj().T) / 2.0, scalar))
+        assert np.array_equal(v_t, loop_calculus((rep.u + rep.u.conj().T) / 2.0, scalar))
+
+
 @pytest.mark.parametrize("which", ["plus_minus", "minus_plus"])
 def test_character_path_scalar_paths(which):
     rep = random_constrained(2, 2.0, seed=55)
@@ -280,17 +283,6 @@ def test_character_path_rejects_bad_input():
         character_path(rep, "plus_minus", 2.0)
     with pytest.raises(ValueError):
         character_path(rep, "sideways", 0.5)
-
-
-def test_character_homotopy_report_passes():
-    rep = random_constrained(4, 3.0, seed=57)
-    report = character_homotopy_check(rep, grid_size=17)
-    assert report.passed(1e-9)
-    names = [path.name for path in report.paths]
-    assert sorted(names) == ["fold_swap", "minus_plus", "plus_minus"]
-    for path in report.paths:
-        assert path.max_unitarity_defect < 1e-9
-        assert path.max_constraint_excess < 1e-9
 
 
 def test_scalar_character_values():

@@ -403,6 +403,14 @@ def test_norm_curve_monotone_and_shared_pool():
         assert constraint_value(estimate.witness) <= mu + 1e-8
 
 
+def test_norm_curve_other_element_is_monotone_above_oracle():
+    a = parse_element("u + v")
+    curve = norm_curve(a, [1.0, 2.0], SMALL)
+    assert np.all(np.diff(curve.values) >= 0.0)
+    for mu, value in zip(curve.grid, curve.values):
+        assert value >= one_dim_oracle(a, mu) - 1e-9
+
+
 def test_norm_curve_requires_ascending_grid():
     x = averaging_element()
     with pytest.raises(ValueError):
@@ -533,13 +541,13 @@ def test_open_bracket_runs_every_start():
 
 def test_closed_bracket_builds_no_fresh_start(monkeypatch):
     calls = []
-    original = optimize.haar_unitary
+    original = optimize.random_constrained
 
-    def counting(dim, rng):
+    def counting(dim, mu, seed):
         calls.append(dim)
-        return original(dim, rng)
+        return original(dim, mu, seed=seed)
 
-    monkeypatch.setattr(optimize, "haar_unitary", counting)
+    monkeypatch.setattr(optimize, "random_constrained", counting)
     result = estimate_norm(averaging_element(), 2.0)
     assert calls == []
     assert result.restart_index == 0

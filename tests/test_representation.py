@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import loop_calculus
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from constrep.freegroup import averaging_element, generator, parse_element
 from constrep.linalg import NonUnitaryError, random_unitary, unitarity_defect
@@ -78,10 +81,25 @@ def test_deformation_function_endpoints():
     for theta in (0.1, 1.2, 2.9, -0.4, -2.2):
         z = complex(math.cos(theta), math.sin(theta))
         assert abs(f0(z) - z) < 1e-15
-        assert abs(abs(f1(z)) - 1.0) < 1e-15
-        # at full strength everything lands on +/- i, by half-plane
-        want = 1j if z.imag >= 0 else -1j
-        assert abs(f1(z) - want) < 1e-15
+        # at full strength everything lands exactly on +/- i, by half-plane
+        assert f1(z) == (1j if z.imag >= 0 else -1j)
+
+
+_CIRCLE_POINTS = st.one_of(
+    # the real points with both signs of zero, and +-i
+    st.sampled_from((1 + 0j, complex(1, -0.0), -1 + 0j, complex(-1, -0.0), 1j, -1j)),
+    st.floats(-math.pi, math.pi).map(lambda theta: complex(math.cos(theta), math.sin(theta))),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)), _CIRCLE_POINTS)
+def test_deformation_function_properties(t, z):
+    g = deformation_function(t)(z)
+    assert g.real == (1.0 - t) * z.real
+    assert abs(abs(g) - 1.0) <= 1e-15
+    if t == 1.0:
+        assert g in (1j, -1j)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 0.9, 1.0])
@@ -192,6 +210,17 @@ def test_zero_constrained_identity_input():
 def test_zero_constrained_purely_imaginary_input():
     rep = zero_constrained_from(1j * np.eye(3, dtype=complex))
     assert np.max(np.abs(rep.v - 1j * np.eye(3))) < 1e-12
+
+
+def test_zero_constrained_matches_the_scalar_loop():
+    def scalar(x):
+        xc = min(1.0, max(-1.0, x))
+        return complex(xc, math.sqrt(max(0.0, 1.0 - xc * xc)))
+
+    for seed in range(4):
+        u = random_unitary(2 + seed, seed=seed)
+        want = loop_calculus(-(u + u.conj().T) / 2.0, scalar)
+        assert np.array_equal(zero_constrained_from(u).v, want)
 
 
 def test_zero_constrained_random_inputs():

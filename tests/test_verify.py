@@ -1,8 +1,43 @@
-"""The verify suite table: every named suite passes and ``all`` chains them."""
+"""Residual functions read their facts, and the verify suite table chains them."""
+
+from types import SimpleNamespace
 
 import pytest
 
-from constrep.verify import SUITE_NAMES, run_suite
+from constrep.freegroup import averaging_element
+from constrep.homotopy import CHARACTER_PATHS
+from constrep.optimize import NormCurve, OptimizerConfig, norm_curve, one_dim_oracle
+from constrep.representation import random_constrained
+from constrep.verify import (
+    SUITE_NAMES,
+    averaging_curve_residuals,
+    character_path_residuals,
+    run_suite,
+)
+
+
+def test_averaging_curve_residuals_and_oracle_floor():
+    x = averaging_element()
+    config = OptimizerConfig(dims=(1,), restarts=2, max_steps=60, seed=0)
+    curve = norm_curve(x, [0.0, 0.5, 1.0, 1.5, 2.0], config)
+    line, decrease, increase = averaging_curve_residuals(curve)
+    assert line <= 5e-2 and decrease == 0.0 and increase <= 0.55
+    for mu, value in zip(curve.grid, curve.values):
+        assert value >= one_dim_oracle(x, mu) - 1e-9
+    # the residuals are read from the values: a dip shows as a decrease
+    values = (0.0, 0.75, 0.5)
+    dipped = NormCurve(x, (0.0, 0.5, 1.0), tuple(SimpleNamespace(value=v) for v in values))
+    assert averaging_curve_residuals(dipped) == (0.5, 0.25, 0.75)
+
+
+def test_character_path_residuals_per_path():
+    rep = random_constrained(4, 3.0, seed=57)
+    paths = character_path_residuals([rep], 17)
+    assert tuple(paths) == CHARACTER_PATHS
+    for residuals in paths.values():
+        assert max(residuals) < 1e-9
+    # only the fold-swap path scales the constraint; the scalar paths read 0
+    assert paths["plus_minus"][3] == paths["minus_plus"][3] == 0.0
 
 
 @pytest.mark.parametrize("seed", [0, 1])
