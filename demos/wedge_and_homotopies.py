@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from constrep import (
-    CircleSamples,
     character_at_i,
     circle_points,
     composed_images,
@@ -27,8 +26,6 @@ from constrep import (
     random_constrained,
     split_endpoint_images,
     upper_fold,
-    wedge_generator_images,
-    wedge_substitution,
     winding_number,
 )
 from constrep.verify import character_path_residuals, rotation_residuals, wedge_residuals
@@ -36,22 +33,20 @@ from constrep.verify import character_path_residuals, rotation_residuals, wedge_
 # --- winding numbers -------------------------------------------------------
 n = 1024
 points = circle_points(n)
-print("winding of z:      ", winding_number(CircleSamples(points)))
-print("winding of z^2:    ", winding_number(CircleSamples(points**2)))
-print("winding of fold(z):", winding_number(CircleSamples(upper_fold(points))))
+print("winding of z:      ", winding_number(points))
+print("winding of z^2:    ", winding_number(points**2))
+print("winding of fold(z):", winding_number(upper_fold(points)))
 print("fold fixes i exactly:", upper_fold(1j) == 1j)
 
 # --- generator images that kill the averaging element ----------------------
 basepoint, wedge_sum = wedge_residuals(n)
 print("\nbasepoint residual:", basepoint)
 print("sum residual of A + A* + B + B*:", wedge_sum)
-mat_u, mat_v = wedge_generator_images(n)
 
 # Substituting a finite pair for the two circles keeps the cancellation.
 rep = random_constrained(dim=3, mu=2.5, seed=5)
-big_u = wedge_substitution(mat_u, rep)
-big_v = wedge_substitution(mat_v, rep)
-total = big_u + big_u.conj().T + big_v + big_v.conj().T
+comp_u, comp_v = composed_images(rep)
+total = comp_u + comp_u.conj().T + comp_v + comp_v.conj().T
 print("matrix substitution residual:", np.max(np.abs(total)))
 
 # The scalar character sending both circles to i kills the averaging
@@ -63,7 +58,6 @@ print("character at i of u*v:", character_at_i(parse_element("u*v")))
 # homotopy_images(rep, t) joins the composed images (t = 0) to the split
 # ones (t = pi/2) through unitaries.
 start_u, start_v = homotopy_images(rep, 0.0)
-comp_u, comp_v = composed_images(rep)
 end_u, end_v = homotopy_images(rep, math.pi / 2)
 split_u, split_v = split_endpoint_images(rep)
 print("\nendpoint residual at t=0:   ", np.max(np.abs(start_u - comp_u)))

@@ -72,9 +72,6 @@ from .optimize import (
     upper_bound,
 )
 from .homotopy import (
-    CircleSamples,
-    WedgeMatrix,
-    WedgePair,
     character_at_i,
     character_path,
     circle_points,
@@ -83,8 +80,7 @@ from .homotopy import (
     split_endpoint_images,
     upper_fold,
     upper_fold_matrix,
-    wedge_generator_images,
-    wedge_substitution,
+    wedge_samples,
     winding_number,
     winding_total,
 )
@@ -144,9 +140,6 @@ __all__ = [
     "one_dim_oracle",
     "upper_bound",
     # homotopy
-    "CircleSamples",
-    "WedgeMatrix",
-    "WedgePair",
     "character_at_i",
     "character_path",
     "circle_points",
@@ -155,8 +148,7 @@ __all__ = [
     "split_endpoint_images",
     "upper_fold",
     "upper_fold_matrix",
-    "wedge_generator_images",
-    "wedge_substitution",
+    "wedge_samples",
     "winding_number",
     "winding_total",
     # bundle

@@ -4,9 +4,12 @@ This module carries the machinery for the identity chain that connects the
 block-doubled embedding of a constrained pair with scalar characters:
 
 * uniformly sampled loops on the unit circle with a numerical winding number;
-* the wedge algebra of function pairs (f, g) agreeing at the basepoint 1,
-  with a small symbolic tag set so substitution of unitaries is exact;
-* the doubled generator images whose generator-sum vanishes identically;
+* the doubled generator images over the wedge of two circles, whose
+  generator sum vanishes identically. Each entry is one vectorized function
+  h(a, b) of the two circle coordinates (:data:`WEDGE_IMAGES`), read three
+  ways: sampled, it is the wedge pair (h(z, 1), h(1, z)) that agrees at the
+  basepoint 1; substituted by a pair (U, V), it is diag(h(U, I), h(I, V))
+  by functional calculus; and its scalar character at i is h(i, i);
 * a one-parameter rotation between the composed images and a direct sum of
   the identity pair with three one-dimensional-style characters, along which
   the constraint functional scales exactly like sin t;
@@ -20,7 +23,6 @@ measures every identity among them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .freegroup import GroupRingElement
 from .linalg import apply_circle_function, apply_hermitian_function
 
 MIN_SAMPLES = 8
-_BASEPOINT_TOL = 1e-10
 _WINDING_RESIDUAL_LIMIT = 0.01
 
 
@@ -59,30 +60,17 @@ def upper_fold_matrix(w):
     return apply_circle_function(w, upper_fold)
 
 
-@dataclass(frozen=True, eq=False)
-class CircleSamples:
-    """Values of a loop at the standard sample points."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.ndim != 1 or values.size < MIN_SAMPLES:
-            raise ValueError(f"samples must be a vector of length >= {MIN_SAMPLES}")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self):
-        return self.values.size
-
-
-def winding_total(samples):
+def winding_total(values):
     """Sum of principal-branch argument increments around the loop, over 2 pi.
 
-    Raises when a sample vanishes (argument undefined) or when a consecutive
-    gap reaches pi (the loop is undersampled and the branch is ambiguous).
+    ``values`` is the loop sampled at ``circle_points(n)``, a vector of at
+    least ``MIN_SAMPLES`` points. Raises when a sample vanishes (argument
+    undefined) or when a consecutive gap reaches pi (the loop is
+    undersampled and the branch is ambiguous).
     """
-    values = samples.values
+    values = np.asarray(values, dtype=complex)
+    if values.ndim != 1 or values.size < MIN_SAMPLES:
+        raise ValueError(f"samples must be a vector of length >= {MIN_SAMPLES}")
     magnitudes = np.abs(values)
     if np.any(magnitudes == 0.0):
         raise ValueError("loop passes through zero; winding number undefined")
@@ -93,9 +81,9 @@ def winding_total(samples):
     return float(np.sum(increments) / (2.0 * np.pi))
 
 
-def winding_number(samples):
+def winding_number(values):
     """Integer winding number of a sampled loop around the origin."""
-    total = winding_total(samples)
+    total = winding_total(values)
     nearest = round(total)
     residual = abs(total - nearest)
     if residual >= _WINDING_RESIDUAL_LIMIT:
@@ -109,180 +97,43 @@ def winding_number(samples):
 # The wedge of two circles: pairs (f, g) with f(1) = g(1)
 # --------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class CircleGen:
-    """Symbolic coordinate loop: which=1 is (z, 1), which=2 is (1, z)."""
-
-    which: int
-
-    def __post_init__(self):
-        if self.which not in (1, 2):
-            raise ValueError("which must be 1 or 2")
-
-
-@dataclass(frozen=True)
-class ScalarConst:
-    """Symbolic constant pair (c, c)."""
-
-    value: complex
+# The doubled generator images (image of u, image of v), each a 2x2 grid of
+# entries h(a, b), vectorized functions of the two circle coordinates. The
+# wedge element of an entry is (f, g) = (h(z, 1), h(1, z)).
+WEDGE_IMAGES = (
+    (
+        (lambda a, b: a, lambda a, b: 0 * a),
+        (lambda a, b: 0 * a, lambda a, b: upper_fold(b)),
+    ),
+    (
+        (lambda a, b: upper_fold(a), lambda a, b: 0 * a),
+        (lambda a, b: 0 * a, lambda a, b: b),
+    ),
+)
 
 
-@dataclass(frozen=True)
-class Folded:
-    """Symbolic application of :func:`upper_fold` to another expression."""
-
-    arg: object
-
-
-def sample_expr(expr, n):
-    """Sample a symbolic wedge expression; returns the two component arrays."""
-    points = circle_points(n)
-    ones = np.ones(int(n), dtype=complex)
-    if isinstance(expr, CircleGen):
-        return (points.copy(), ones) if expr.which == 1 else (ones, points.copy())
-    if isinstance(expr, ScalarConst):
-        c = complex(expr.value)
-        return np.full(int(n), c), np.full(int(n), c)
-    if isinstance(expr, Folded):
-        first, second = sample_expr(expr.arg, n)
-        return upper_fold(first), upper_fold(second)
-    raise ValueError(f"expression outside the supported symbolic fragment: {expr!r}")
+def _wedge_pair(h):
+    """The wedge element (h(z, 1), h(1, z)) of an entry, as array functions."""
+    return (
+        lambda z: h(z, np.ones_like(z)),
+        lambda z: h(np.ones_like(z), z),
+    )
 
 
-def scalar_character(expr):
-    """Evaluate the character sending both circle coordinates to i."""
-    if isinstance(expr, CircleGen):
-        return 1j
-    if isinstance(expr, ScalarConst):
-        return complex(expr.value)
-    if isinstance(expr, Folded):
-        return upper_fold(scalar_character(expr.arg))
-    raise ValueError(f"expression outside the supported symbolic fragment: {expr!r}")
+def wedge_samples(n):
+    """The doubled generator images sampled at ``circle_points(n)``.
 
-
-def substitute_expr(expr, rep):
-    """Substitute the circle coordinates by the pair's unitaries (exactly).
-
-    The first coordinate becomes diag(U, I), the second diag(I, V); constants
-    become scalar matrices and folds act by functional calculus.
+    A complex array of shape (2, 2, 2, 2, n), indexed by generator, row,
+    column, wedge component and sample point: component 0 holds h(z, 1)
+    and component 1 holds h(1, z) for the entry's function h.
     """
-    d = rep.dim
-    eye = np.eye(d, dtype=complex)
-    if isinstance(expr, CircleGen):
-        if expr.which == 1:
-            return _block_diag(rep.u, eye)
-        return _block_diag(eye, rep.v)
-    if isinstance(expr, ScalarConst):
-        return complex(expr.value) * np.eye(2 * d, dtype=complex)
-    if isinstance(expr, Folded):
-        return upper_fold_matrix(substitute_expr(expr.arg, rep))
-    raise ValueError(f"expression outside the supported symbolic fragment: {expr!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class WedgePair:
-    """A wedge-algebra element: two loops sharing their basepoint value."""
-
-    first: CircleSamples
-    second: CircleSamples
-    expr: object = None
-
-    def __post_init__(self):
-        if self.first.n != self.second.n:
-            raise ValueError("component sample counts differ")
-        gap = abs(self.first.values[0] - self.second.values[0])
-        if gap > _BASEPOINT_TOL:
-            raise ValueError(f"basepoint values disagree by {gap:.3e}")
-
-    @classmethod
-    def from_expr(cls, expr, n):
-        first, second = sample_expr(expr, n)
-        return cls(CircleSamples(first), CircleSamples(second), expr)
-
-
-@dataclass(frozen=True, eq=False)
-class WedgeMatrix:
-    """A 2x2 matrix over the wedge algebra."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != 2 or any(len(row) != 2 for row in self.entries):
-            raise ValueError("entries must form a 2x2 grid")
-        n = self.entries[0][0].first.n
-        for row in self.entries:
-            for pair in row:
-                if pair.first.n != n:
-                    raise ValueError("all entries must share the sample count")
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
-
-    @property
-    def n(self):
-        return self.entries[0][0].first.n
-
-    def entry(self, row, col):
-        return self.entries[row][col]
-
-    def component_arrays(self, which):
-        """2x2 nested list of the sampled first (which=0) or second component."""
-        return [
-            [
-                (pair.first if which == 0 else pair.second).values
-                for pair in row
-            ]
-            for row in self.entries
+    z = circle_points(n)
+    return np.array(
+        [
+            [[[f(z) for f in _wedge_pair(h)] for h in row] for row in image]
+            for image in WEDGE_IMAGES
         ]
-
-
-def _phi_symbolic():
-    """Symbolic doubled images of the two generators."""
-    image_u = (
-        (CircleGen(1), ScalarConst(0)),
-        (ScalarConst(0), Folded(CircleGen(2))),
     )
-    image_v = (
-        (Folded(CircleGen(1)), ScalarConst(0)),
-        (ScalarConst(0), CircleGen(2)),
-    )
-    return image_u, image_v
-
-
-def wedge_generator_images(n):
-    """Sampled wedge matrices assigned to the generators.
-
-    The diagonal construction is arranged so the generator-plus-adjoint sums
-    of the two images cancel entrywise: substituting them into the averaging
-    element gives exactly zero.
-    """
-    sym_u, sym_v = _phi_symbolic()
-    mat_u = WedgeMatrix(
-        tuple(tuple(WedgePair.from_expr(expr, n) for expr in row) for row in sym_u)
-    )
-    mat_v = WedgeMatrix(
-        tuple(tuple(WedgePair.from_expr(expr, n) for expr in row) for row in sym_v)
-    )
-    return mat_u, mat_v
-
-
-def wedge_substitution(matrix, rep):
-    """Substitute a symbolic wedge matrix into a pair; returns a 4d x 4d matrix.
-
-    Every entry must carry a symbolic tag (as produced by
-    :func:`wedge_generator_images`); purely sampled entries cannot be
-    substituted exactly and are rejected.
-    """
-    blocks = []
-    for row in matrix.entries:
-        block_row = []
-        for pair in row:
-            if pair.expr is None:
-                raise ValueError("entry has no symbolic form; cannot substitute")
-            block_row.append(substitute_expr(pair.expr, rep))
-        blocks.append(block_row)
-    top = np.hstack(blocks[0])
-    bottom = np.hstack(blocks[1])
-    return np.vstack([top, bottom])
 
 
 def character_at_i(element):
@@ -319,14 +170,22 @@ def _block_diag(*mats):
 
 
 def composed_images(rep):
-    """The substituted doubled images: a pair of 4d x 4d unitaries."""
+    """The doubled images with the pair substituted: two 4d x 4d unitaries.
 
-    def build(sym):
-        blocks = [[substitute_expr(expr, rep) for expr in row] for row in sym]
-        return np.vstack([np.hstack(blocks[0]), np.hstack(blocks[1])])
+    Substitution is the homomorphism (f, g) -> diag(f(U), g(V)) of the
+    wedge, applied to every entry by functional calculus.
+    """
 
-    sym_u, sym_v = _phi_symbolic()
-    return build(sym_u), build(sym_v)
+    def substitute(h):
+        f, g = _wedge_pair(h)
+        return _block_diag(
+            apply_circle_function(rep.u, f), apply_circle_function(rep.v, g)
+        )
+
+    return tuple(
+        np.block([[substitute(h) for h in row] for row in image])
+        for image in WEDGE_IMAGES
+    )
 
 
 def split_endpoint_images(rep):

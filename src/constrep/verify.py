@@ -216,42 +216,33 @@ def character_path_residuals(pairs, grid_size):
 def wedge_residuals(n):
     """(basepoint mismatch, generator-sum residual) of the n-sample wedge images.
 
-    The mismatch is the largest |f(1) - g(1)| over the entries of both
-    images; the residual is the largest sampled entry of A + A* + B + B*.
+    The mismatch is the largest |f(1) - g(1)| over the sampled wedge pairs
+    (f, g) = (h(z, 1), h(1, z)) of the entries of both images; the residual
+    is the largest sampled entry of A + A* + B + B*.
     """
-    mat_u, mat_v = homotopy.wedge_generator_images(n)
-    basepoint = max(
-        abs(pair.first.values[0] - pair.second.values[0])
-        for matrix in (mat_u, mat_v)
-        for row in matrix.entries
-        for pair in row
-    )
-    total = 0.0
-    for which in (0, 1):
-        a = mat_u.component_arrays(which)
-        b = mat_v.component_arrays(which)
-        for r in range(2):
-            for c in range(2):
-                entry = a[r][c] + np.conj(a[c][r]) + b[r][c] + np.conj(b[c][r])
-                total = max(total, float(np.max(np.abs(entry))))
-    return basepoint, total
+    samples = homotopy.wedge_samples(n)
+    basepoint = _max_entry(samples[..., 0, 0] - samples[..., 1, 0])
+    a, b = samples
+    # the adjoint of a 2x2 grid of loops transposes the grid and conjugates
+    total = a + a.swapaxes(0, 1).conj() + b + b.swapaxes(0, 1).conj()
+    return basepoint, _max_entry(total)
 
 
 def scalar_character_residuals():
     """Named exact identities of the scalar characters, as residuals.
 
     Returns a dict from check name to residual: the fold fixes i
-    (``fold_fixes_i``), the character at i sends both doubled generator
-    images to i times the 2x2 identity (``wedge_character_diagonal``), and
-    scaling the ring unit commutes with the character
-    (``unit_embedding_identity``).
+    (``fold_fixes_i``), the character at i, h(i, i), sends both doubled
+    generator images to i times the 2x2 identity
+    (``wedge_character_diagonal``), and scaling the ring unit commutes with
+    the character (``unit_embedding_identity``).
     """
-    diagonal = 0.0
-    for matrix in homotopy.wedge_generator_images(homotopy.MIN_SAMPLES):
-        for r, row in enumerate(matrix.entries):
-            for c, pair in enumerate(row):
-                value = homotopy.scalar_character(pair.expr)
-                diagonal = max(diagonal, abs(value - (1j if r == c else 0j)))
+    diagonal = max(
+        abs(h(1j, 1j) - (1j if r == c else 0j))
+        for image in homotopy.WEDGE_IMAGES
+        for r, row in enumerate(image)
+        for c, h in enumerate(row)
+    )
     unit = max(
         abs(homotopy.character_at_i(GroupRingElement.from_scalar(lam)) - lam)
         for lam in (1.0, -2.5, complex(1.0, 2.0), complex(-0.25, -3.5))
@@ -267,10 +258,7 @@ def winding_residuals(n):
     """|winding total - want| of the identity (1), folded (0) and squared (2) loops."""
     points = homotopy.circle_points(n)
     loops = ((points, 1), (homotopy.upper_fold(points), 0), (points**2, 2))
-    return tuple(
-        abs(homotopy.winding_total(homotopy.CircleSamples(values)) - want)
-        for values, want in loops
-    )
+    return tuple(abs(homotopy.winding_total(values) - want) for values, want in loops)
 
 
 def unit_generator_residual(mus, config):
@@ -335,7 +323,7 @@ def _deformation_suite(seed):
         representation.random_constrained(dim, 4.0, seed=seed + index)
         for index, dim in enumerate((2, 4, 8) * 4)
     ]
-    identity, _, unitarity, commutation = deformation_residuals(
+    identity, scaling, unitarity, commutation = deformation_residuals(
         pairs, np.linspace(0.0, 1.0, 21)
     )
     retraction = 0.0
@@ -351,6 +339,7 @@ def _deformation_suite(seed):
     zero = max(zero_constructor_residuals(unitaries))
     return [
         _check("deformation_sum_identity", identity, 1e-8),
+        _check("deformation_constraint_scaling", scaling, 1e-8),
         _check("deformation_unitarity", unitarity, 1e-9),
         _check("deformation_commutation", commutation, 1e-9),
         _check("retraction_constraint", retraction, 1e-8),

@@ -142,11 +142,11 @@ def test_criterion_06_oracle_agreement():
 
 
 def test_criterion_07_sine_identity():
-    worst, _ = verify.rotation_residuals(
+    worst, blocks = verify.rotation_residuals(
         _twenty_reference_pairs(), np.linspace(0.0, math.pi / 2, 33)
     )
-    ok = worst <= 1e-8
-    _report(7, "sine_identity", ok, "residual=%.3e" % worst)
+    ok = worst <= 1e-8 and blocks <= 1e-12
+    _report(7, "sine_identity", ok, "residual=%.3e blocks=%.3e" % (worst, blocks))
 
 
 def test_criterion_08_homotopy_endpoints():
@@ -176,14 +176,21 @@ def test_criterion_10_winding_numbers():
 
 def test_criterion_11_character_homotopies():
     paths = verify.character_path_residuals(_twenty_reference_pairs(), 33)
-    worst_unitary, worst_excess, _, worst_scaling = map(max, zip(*paths.values()))
-    ok = worst_unitary <= 1e-9 and worst_excess <= 1e-9 and worst_scaling <= 1e-9
+    worst_unitary, worst_excess, worst_endpoint, worst_scaling = map(
+        max, zip(*paths.values())
+    )
+    ok = (
+        worst_unitary <= 1e-9
+        and worst_excess <= 1e-9
+        and worst_endpoint <= 1e-9
+        and worst_scaling <= 1e-9
+    )
     _report(
         11,
         "character_homotopies",
         ok,
-        "unitary=%.3e excess=%.3e scaling=%.3e"
-        % (worst_unitary, worst_excess, worst_scaling),
+        "unitary=%.3e excess=%.3e endpoint=%.3e scaling=%.3e"
+        % (worst_unitary, worst_excess, worst_endpoint, worst_scaling),
     )
 
 

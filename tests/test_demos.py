@@ -6,7 +6,13 @@ from conftest import ROOT, run_python
 # Diagnostic lines a demo must print, by line prefix.
 EXPECTED_LINES = {
     "norm_curves": ("monotone: True", "max increment: ", "max deviation from the line: "),
-    "wedge_and_homotopies": ("plus_minus ", "minus_plus ", "fold_swap "),
+    "wedge_and_homotopies": (
+        "winding of z:",
+        "matrix substitution residual:",
+        "plus_minus ",
+        "minus_plus ",
+        "fold_swap ",
+    ),
 }
 
 

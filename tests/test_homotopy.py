@@ -7,30 +7,22 @@ import pytest
 from conftest import loop_calculus
 
 from constrep.homotopy import (
-    CircleGen,
-    CircleSamples,
-    Folded,
-    ScalarConst,
-    WedgeMatrix,
-    WedgePair,
+    WEDGE_IMAGES,
     character_at_i,
     character_path,
     circle_points,
     composed_images,
     homotopy_images,
-    sample_expr,
-    scalar_character,
     split_endpoint_images,
     upper_fold,
     upper_fold_matrix,
-    wedge_generator_images,
-    wedge_substitution,
+    wedge_samples,
     winding_number,
     winding_total,
 )
 from constrep.freegroup import averaging_element, parse_element
 from constrep.linalg import unitarity_defect
-from constrep.representation import constraint_value, random_constrained
+from constrep.representation import Representation, constraint_value, random_constrained
 from constrep.verify import rotation_residuals, scalar_character_residuals, wedge_residuals
 
 
@@ -70,88 +62,51 @@ def test_circle_points_validation():
 @pytest.mark.parametrize("n", [64, 4096])
 def test_winding_numbers_of_reference_loops(n):
     points = circle_points(n)
-    assert winding_number(CircleSamples(points)) == 1
-    assert winding_number(CircleSamples(upper_fold(points))) == 0
-    assert winding_number(CircleSamples(points**2)) == 2
-    assert winding_number(CircleSamples(points**3)) == 3
-    assert abs(winding_total(CircleSamples(points)) - 1.0) < 1e-12
+    assert winding_number(points) == 1
+    assert winding_number(upper_fold(points)) == 0
+    assert winding_number(points**2) == 2
+    assert winding_number(points**3) == 3
+    assert abs(winding_total(points) - 1.0) < 1e-12
 
 
 def test_winding_refuses_zero_samples():
     values = circle_points(16).copy()
     values[3] = 0.0
     with pytest.raises(ValueError):
-        winding_total(CircleSamples(values))
+        winding_total(values)
 
 
 def test_winding_refuses_undersampled_loop():
     # consecutive gap of exactly pi: the branch is ambiguous
     points = circle_points(8)
     with pytest.raises(ValueError):
-        winding_total(CircleSamples(points**4))
+        winding_total(points**4)
 
 
 def test_circle_samples_validation():
     with pytest.raises(ValueError):
-        CircleSamples(np.ones(4, dtype=complex))
+        winding_total(np.ones(4, dtype=complex))
     with pytest.raises(ValueError):
-        CircleSamples(np.ones((8, 2), dtype=complex))
+        winding_total(np.ones((8, 2), dtype=complex))
 
 
-def test_sample_expr_components():
-    first, second = sample_expr(CircleGen(1), 16)
+def test_wedge_samples_components():
+    u_image, _ = wedge_samples(16)
+    first, second = u_image[0, 0]
     assert np.array_equal(first, circle_points(16))
     assert np.array_equal(second, np.ones(16, dtype=complex))
-    first, second = sample_expr(Folded(CircleGen(2)), 16)
+    first, second = u_image[1, 1]
     assert np.array_equal(first, np.full(16, -1.0 + 0j))
     assert np.max(np.abs(second - upper_fold(circle_points(16)))) == 0.0
-
-
-def test_wedge_pair_requires_matching_basepoint():
-    n = 16
-    with pytest.raises(ValueError):
-        WedgePair(
-            CircleSamples(circle_points(n)),
-            CircleSamples(1j * circle_points(n)),
-        )
-    # agreeing basepoints are accepted
-    WedgePair(
-        CircleSamples(circle_points(n)), CircleSamples(np.ones(n, dtype=complex))
-    )
 
 
 @pytest.mark.parametrize("n", [8, 64, 4096, 8192])
 def test_wedge_images_satisfy_conditions(n):
     assert wedge_residuals(n) == (0.0, 0.0)
-    mat_u, mat_v = wedge_generator_images(n)
-    for matrix in (mat_u, mat_v):
+    for image in wedge_samples(n):
         for k in (0, 1):
-            diag = matrix.entry(k, k)
-            assert np.max(np.abs(np.abs(diag.first.values) - 1.0)) < 1e-15
-            off = matrix.entry(k, 1 - k)
-            assert np.max(np.abs(off.first.values)) == 0.0
-
-
-def test_wedge_matrix_validation():
-    n = 16
-    pair = WedgePair.from_expr(ScalarConst(0), n)
-    with pytest.raises(ValueError):
-        WedgeMatrix(((pair,), (pair, pair)))
-    other = WedgePair.from_expr(ScalarConst(0), 32)
-    with pytest.raises(ValueError):
-        WedgeMatrix(((pair, pair), (pair, other)))
-
-
-def test_wedge_substitution_requires_symbolic_entries():
-    n = 16
-    plain = WedgePair(
-        CircleSamples(np.zeros(n, dtype=complex)),
-        CircleSamples(np.zeros(n, dtype=complex)),
-    )
-    matrix = WedgeMatrix(((plain, plain), (plain, plain)))
-    rep = random_constrained(2, 4.0, seed=0)
-    with pytest.raises(ValueError):
-        wedge_substitution(matrix, rep)
+            assert np.max(np.abs(np.abs(image[k, k, 0]) - 1.0)) < 1e-15
+            assert np.max(np.abs(image[k, 1 - k, 0])) == 0.0
 
 
 def test_substitution_gives_block_diagonal_images():
@@ -174,15 +129,25 @@ def test_substitution_gives_block_diagonal_images():
     want_v[3 * d :, 3 * d :] = rep.v
     assert np.max(np.abs(image_v - want_v)) < 1e-12
 
-    mat_u, _ = wedge_generator_images(16)
-    assert np.max(np.abs(wedge_substitution(mat_u, rep) - want_u)) < 1e-12
 
-
-def test_substituted_images_kill_averaging_element():
-    rep = random_constrained(3, 4.0, seed=42)
+@pytest.mark.parametrize(
+    "rep",
+    [
+        *(random_constrained(d, 4.0, seed=42) for d in (1, 2, 3, 5)),
+        # eigenvalues exactly at +-1 and +-i, and repeated
+        Representation(np.eye(2), -np.eye(2)),
+        Representation(np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])),
+        Representation(np.diag([1j, 1j, -1j]), np.diag([1j, -1j, -1j])),
+    ],
+    ids=["haar1", "haar2", "haar3", "haar5", "identity", "signs", "plus_minus_i"],
+)
+def test_substituted_images_kill_averaging_element(rep):
     image_u, image_v = composed_images(rep)
     total = image_u + image_u.conj().T + image_v + image_v.conj().T
     assert np.max(np.abs(total)) < 1e-12
+    start_u, start_v = homotopy_images(rep, 0.0)
+    assert np.max(np.abs(image_u - start_u)) < 1e-10
+    assert np.max(np.abs(image_v - start_v)) < 1e-10
 
 
 def test_homotopy_endpoints_match():
@@ -286,11 +251,8 @@ def test_character_path_rejects_bad_input():
 
 
 def test_scalar_character_values():
-    assert scalar_character(CircleGen(1)) == 1j
-    assert scalar_character(Folded(CircleGen(2))) == 1j
-    assert scalar_character(ScalarConst(3.5)) == 3.5
-    with pytest.raises(ValueError):
-        scalar_character("not an expression")
+    for image in WEDGE_IMAGES:
+        assert [[h(1j, 1j) for h in row] for row in image] == [[1j, 0], [0, 1j]]
 
 
 def test_scalar_character_residuals_are_zero():

@@ -1,9 +1,17 @@
-"""Residual functions read their facts, and the verify suite table chains them."""
+"""Residual functions read their facts, and the verify suite table chains them.
 
+Also checks that the package's public names and the ``verify`` docstring's
+map of check names stay in step with the code.
+"""
+
+import re
+from fnmatch import fnmatchcase
 from types import SimpleNamespace
 
 import pytest
 
+import constrep
+from constrep import verify
 from constrep.freegroup import averaging_element
 from constrep.homotopy import CHARACTER_PATHS
 from constrep.optimize import NormCurve, OptimizerConfig, norm_curve, one_dim_oracle
@@ -46,6 +54,17 @@ def test_named_suites_pass_and_all_chains_them(seed):
     assert SUITE_NAMES[-1] == "all"
     assert [result.name for result in chained if not result.passed] == []
     assert run_suite("all", seed) == chained
+    # every check is named, exactly or as ``prefix_*``, in the docstring's map
+    documented = re.findall(r"``(\w+\*?)``", verify.__doc__)
+    assert [
+        result.name
+        for result in chained
+        if not any(fnmatchcase(result.name, name) for name in documented)
+    ] == []
+
+
+def test_public_names_resolve():
+    assert [name for name in constrep.__all__ if not hasattr(constrep, name)] == []
 
 
 def test_unknown_suite_is_rejected():
