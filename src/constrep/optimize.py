@@ -30,6 +30,7 @@ point and reused, at a shorter step, after each rejected proposal.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -59,6 +60,13 @@ _STALL_WINDOW = 25
 # Angles per generator in the 1-D torus oracle: steps of half a degree.
 ORACLE_GRID = 720
 _GRADIENT_FLOOR = 1e-14
+# Bisection steps 512, 256, ..., 1: enough to count up to ORACLE_GRID.
+_BISECTION_STEPS = tuple(1 << k for k in reversed(range(ORACLE_GRID.bit_length())))
+
+# The last scanned element's oracle data: (key, antidiagonal best, magnitude
+# grid). One slot, emptied before the next grid is built, so at most one
+# ORACLE_GRID x ORACLE_GRID grid is alive.
+_oracle_slot = None
 
 
 @dataclass(frozen=True)
@@ -170,19 +178,36 @@ class NormCurve:
 # --------------------------------------------------------------------------
 
 
-def _oracle_scan(element, mu):
-    """(value, theta, phi): the max of |pi(a)| over 1-D pairs on the fixed grid.
+@functools.cache
+def _oracle_axes():
+    """(theta, order, theta[order], c[order]) for c = 2cos(theta), order ascending in c.
+
+    The cosines are computed on the whole grid and then permuted, so each
+    entry is the value the unsorted grid has. Built on first use rather than
+    at import, which would run numpy kernels that only the oracle needs.
+    """
+    theta = 2.0 * np.pi * np.arange(ORACLE_GRID) / ORACLE_GRID
+    cos = 2.0 * np.cos(theta)
+    order = np.argsort(cos, kind="stable")
+    return theta, order, theta[order], cos[order]
+
+
+def _oracle_grid(element):
+    """(antidiagonal best, magnitude grid) of a nonzero element, kept for the last one.
 
     The pair u -> e^(i theta), v -> e^(i phi) sends a word with generator
-    sums (p, q) to e^(i (p theta + q phi)), so each scan is one matrix
-    product over the terms. Callers validate the element and mu.
+    sums (p, q) to e^(i (p theta + q phi)), so the antidiagonal and the
+    square grid are one matrix product each over the terms. Neither depends
+    on mu, so both are kept in ``_oracle_slot``, keyed by the (p, q, coeff)
+    triples they are built from, and every level of a curve reuses them.
     """
-    terms = element.sorted_terms()
-    if not terms:
-        return 0.0, 0.0, 0.0
-    coeffs = np.array([coeff for _, coeff in terms])
-    p, q = np.array([word.generator_sums() for word, _ in terms]).T
-    theta = 2.0 * np.pi * np.arange(ORACLE_GRID) / ORACLE_GRID
+    global _oracle_slot
+    key = tuple((*word.generator_sums(), coeff) for word, coeff in element.sorted_terms())
+    if _oracle_slot is not None and _oracle_slot[0] == key:
+        return _oracle_slot[1], _oracle_slot[2]
+    _oracle_slot = None  # free the old grid before the new one is built
+    p, q, coeffs = (np.array(column) for column in zip(*key))
+    theta, _, theta_by_cos, _ = _oracle_axes()
 
     # The curve phi = pi - theta is feasible at every constraint level up to
     # rounding (on this grid 2cos(theta) + 2cos(pi - theta) is nonzero at 493
@@ -194,15 +219,65 @@ def _oracle_scan(element, mu):
     i = int(np.argmax(curve))
     best = (float(curve[i]), float(theta[i]), float(phi[i]))
 
-    cos_t = 2.0 * np.cos(theta)
-    feasible = np.abs(cos_t[:, None] + cos_t[None, :]) <= mu
-    if feasible.any():
-        grid = (np.exp(1j * np.outer(theta, p)) * coeffs) @ np.exp(1j * np.outer(q, theta))
-        magnitude = np.abs(grid)
-        magnitude[~feasible] = -1.0
-        i, j = divmod(int(np.argmax(magnitude)), ORACLE_GRID)
-        if float(magnitude[i, j]) > best[0]:
-            best = (float(magnitude[i, j]), float(theta[i]), float(theta[j]))
+    # Both axes in cosine order: entry (r, s) is the pair
+    # (theta[order[r]], theta[order[s]]).
+    grid = (np.exp(1j * np.outer(theta_by_cos, p)) * coeffs) @ np.exp(
+        1j * np.outer(q, theta_by_cos)
+    )
+    magnitude = np.abs(grid)
+    _oracle_slot = (key, best, magnitude)
+    return best, magnitude
+
+
+def _feasible_columns(mu):
+    """Per row r of the cosine-ordered grid, the feasible columns [lo_r, hi_r).
+
+    lo_r counts the columns with c_r + c_s < -mu (that is, <= the float just
+    below -mu) and hi_r those with c_r + c_s <= mu; both are found by one
+    vectorized bisection that evaluates exactly the sums the mask tests.
+    """
+    cos_by_cos = _oracle_axes()[3]
+    limits = np.array([[np.nextafter(-mu, -np.inf)], [mu]])
+    count = np.zeros((2, ORACLE_GRID), dtype=np.intp)
+    for step in _BISECTION_STEPS:
+        probe = count + step
+        sums = cos_by_cos + cos_by_cos[np.minimum(probe, ORACLE_GRID) - 1]
+        count = np.where((probe <= ORACLE_GRID) & (sums <= limits), probe, count)
+    return count[0], count[1]
+
+
+def _oracle_scan(element, mu):
+    """(value, theta, phi): the max of |pi(a)| over 1-D pairs on the fixed grid.
+
+    The grid's axes are in ascending order of c = 2cos(theta). Rounding is
+    monotone, so along a row r the sum fl(c_r + c_s) never decreases in s,
+    and |c_r + c_s| <= mu, which is -mu <= c_r + c_s <= mu, holds on one
+    contiguous range of columns. Each level is then one maximum per row
+    range. Ties go where an argmax over the grid in natural (theta, phi)
+    order puts them: to the smallest row-major index in that order. A grid
+    value replaces the antidiagonal's only if it is strictly larger.
+    Callers validate the element and mu.
+    """
+    if element.is_zero:
+        return 0.0, 0.0, 0.0
+    best, magnitude = _oracle_grid(element)
+    _, order, theta_by_cos, _ = _oracle_axes()
+    lo, hi = _feasible_columns(mu)
+    rows = np.flatnonzero(lo < hi)
+    if not rows.size:
+        return best
+    starts = rows * ORACLE_GRID
+    bounds = np.column_stack((starts + lo[rows], starts + hi[rows])).ravel()
+    if bounds[-1] == magnitude.size:
+        bounds = bounds[:-1]  # the last range runs to the end of the grid
+    maxima = np.maximum.reduceat(magnitude.ravel(), bounds)[::2]
+    value = maxima.max()
+    if value > best[0]:
+        tied = rows[maxima == value]
+        r = tied[np.argmin(order[tied])]
+        columns = lo[r] + np.flatnonzero(magnitude[r, lo[r]:hi[r]] == value)
+        s = columns[np.argmin(order[columns])]
+        best = (float(value), float(theta_by_cos[r]), float(theta_by_cos[s]))
     return best
 
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import run_python
 
 from constrep import optimize
 from constrep.freegroup import (
@@ -366,6 +367,104 @@ def test_oracle_matches_per_term_reference():
             image = evaluate(one_dim_rep(theta, phi), element)
             assert abs(abs(image[0, 0]) - value) <= 1e-12 * l1
             assert abs(2.0 * np.cos(theta) + 2.0 * np.cos(phi)) <= mu + 1e-12
+
+
+def _two_product_oracle(element, mu):
+    """The scan as one masked 720 x 720 grid per call, in natural angle order."""
+    terms = element.sorted_terms()
+    if not terms:
+        return 0.0, 0.0, 0.0
+    coeffs = np.array([coeff for _, coeff in terms])
+    p, q = np.array([word.generator_sums() for word, _ in terms]).T
+    theta = 2.0 * np.pi * np.arange(720) / 720
+    phi = np.pi - theta
+    curve = np.abs(np.exp(1j * (np.outer(theta, p) + np.outer(phi, q))) @ coeffs)
+    i = int(np.argmax(curve))
+    best = (float(curve[i]), float(theta[i]), float(phi[i]))
+    cos_t = 2.0 * np.cos(theta)
+    feasible = np.abs(cos_t[:, None] + cos_t[None, :]) <= mu
+    if feasible.any():
+        grid = (np.exp(1j * np.outer(theta, p)) * coeffs) @ np.exp(1j * np.outer(q, theta))
+        magnitude = np.abs(grid)
+        magnitude[~feasible] = -1.0
+        i, j = divmod(int(np.argmax(magnitude)), 720)
+        if float(magnitude[i, j]) > best[0]:
+            best = (float(magnitude[i, j]), float(theta[i]), float(theta[j]))
+    return best
+
+
+def _grid_levels(count):
+    """``count`` exact values of |2cos(theta_i) + 2cos(theta_j)| on the grid, evenly picked."""
+    theta = 2.0 * np.pi * np.arange(720) / 720
+    c = 2.0 * np.cos(theta)
+    levels = np.unique(np.abs(c[:, None] + c[None, :]))
+    return [float(m) for m in levels[np.linspace(0, len(levels) - 1, count).astype(int)]]
+
+
+_NAMED_ORACLE_ELEMENTS = ("u + u^-1 + v + v^-1", "u*v - v*u", "u + v", "u - u^-1", "2")
+
+
+def test_oracle_is_bitwise_the_two_product_scan():
+    elements = [_syllable_element(np.random.default_rng(seed)) for seed in range(20)]
+    elements += [parse_element(text) for text in _NAMED_ORACLE_ELEMENTS]
+    x = elements[20]
+    pairs = [(e, mu) for e in elements for mu in (0.0, 1e-12, 1e-9, 0.5, 2.0, 3.999, 4.0)]
+    # Exact grid levels and their neighbours, where the mask flips by one ulp;
+    # each level is checked on x and on one other element.
+    triples = [
+        (float(np.nextafter(level, -np.inf)), level, min(float(np.nextafter(level, np.inf)), 4.0))
+        for level in _grid_levels(30)
+    ]
+    pairs += [(x, mu) for triple in triples for mu in triple]
+    pairs += [(elements[k % 20], mu) for k, triple in enumerate(triples) for mu in triple]
+    # A, B, A: a grid kept for the wrong element would show on the second A.
+    a, b = elements[0], elements[21]
+    pairs += [(a, 2.0), (b, 2.0), (a, 2.0), (b, 0.5), (a, 0.5)]
+    for element, mu in pairs:
+        assert optimize._oracle_scan(element, mu) == _two_product_oracle(element, mu)
+
+
+def test_feasible_columns_are_the_mask_in_cosine_order():
+    theta = 2.0 * np.pi * np.arange(720) / 720
+    c = 2.0 * np.cos(theta)
+    order = np.argsort(c, kind="stable")
+    assert np.array_equal(order, optimize._oracle_axes()[1])
+    columns = np.arange(720)
+    for mu in (0.0, 0.5, 2.0, 4.0, *_grid_levels(8)):
+        mask = (np.abs(c[:, None] + c[None, :]) <= mu)[np.ix_(order, order)]
+        lo, hi = optimize._feasible_columns(mu)
+        ranges = (columns >= lo[:, None]) & (columns < hi[:, None])
+        assert np.array_equal(mask, ranges)
+
+
+def test_curve_levels_equal_separate_estimates():
+    x = averaging_element()
+    other = _syllable_element(np.random.default_rng(3))
+    grid = np.arange(0.0, 4.0 + 1e-12, 1.0)
+    curve = norm_curve(x, grid, SMALL)
+    pool = []
+    for mu, from_curve in zip(grid, curve.estimates):
+        optimize._oracle_scan(other, 2.0)  # the level starts from another element's grid
+        alone = estimate_norm(x, mu, SMALL, pool=tuple(pool))
+        pool.append(alone.witness)
+        for field in ("value", "restart_index", "steps", "converged"):
+            assert getattr(alone, field) == getattr(from_curve, field)
+        assert alone.witness.u.tobytes() == from_curve.witness.u.tobytes()
+        assert alone.witness.v.tobytes() == from_curve.witness.v.tobytes()
+
+
+def test_import_builds_no_oracle_grid():
+    code = (
+        "import numpy as np, constrep\n"
+        "from constrep import optimize\n"
+        "big = [name for name, value in vars(optimize).items()\n"
+        "       if isinstance(value, np.ndarray) and value.size > optimize.ORACLE_GRID]\n"
+        "assert not big, big\n"
+        "assert optimize._oracle_slot is None\n"
+        "assert optimize._oracle_axes.cache_info().currsize == 0\n"
+    )
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
 
 
 def test_one_dim_oracle_checks_its_arguments():
