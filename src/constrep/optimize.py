@@ -43,7 +43,6 @@ from .representation import (
     check_mu,
     evaluate,
     letter_images,
-    one_dim_rep,
     random_constrained,
     retract_to,
 )
@@ -60,13 +59,17 @@ _STALL_WINDOW = 25
 # Angles per generator in the 1-D torus oracle: steps of half a degree.
 ORACLE_GRID = 720
 _GRADIENT_FLOOR = 1e-14
-# Bisection steps 512, 256, ..., 1: enough to count up to ORACLE_GRID.
-_BISECTION_STEPS = tuple(1 << k for k in reversed(range(ORACLE_GRID.bit_length())))
+# Grid rows per matrix product when the magnitude grid is filled; divides
+# ORACLE_GRID, and one block of complex products is about 0.55 MB.
+_ORACLE_BLOCK = 48
 
 # The last scanned element's oracle data: (key, antidiagonal best, magnitude
-# grid). One slot, emptied before the next grid is built, so at most one
-# ORACLE_GRID x ORACLE_GRID grid is alive.
+# grid). Emptied before the next grid is built and set once it is complete.
 _oracle_slot = None
+# The one ORACLE_GRID x ORACLE_GRID magnitude array, allocated on the first
+# build and overwritten in place for every new element; only _oracle_scan
+# reads it, through the slot.
+_oracle_magnitude = None
 
 
 @dataclass(frozen=True)
@@ -200,12 +203,15 @@ def _oracle_grid(element):
     square grid are one matrix product each over the terms. Neither depends
     on mu, so both are kept in ``_oracle_slot``, keyed by the (p, q, coeff)
     triples they are built from, and every level of a curve reuses them.
+    The grid is written into the one ``_oracle_magnitude`` array, a block of
+    rows at a time, so after the first build a new element pages in no
+    grid-sized memory.
     """
-    global _oracle_slot
+    global _oracle_slot, _oracle_magnitude
     key = tuple((*word.generator_sums(), coeff) for word, coeff in element.sorted_terms())
     if _oracle_slot is not None and _oracle_slot[0] == key:
         return _oracle_slot[1], _oracle_slot[2]
-    _oracle_slot = None  # free the old grid before the new one is built
+    _oracle_slot = None  # the grid below is overwritten in place
     p, q, coeffs = (np.array(column) for column in zip(*key))
     theta, _, theta_by_cos, _ = _oracle_axes()
 
@@ -220,11 +226,18 @@ def _oracle_grid(element):
     best = (float(curve[i]), float(theta[i]), float(phi[i]))
 
     # Both axes in cosine order: entry (r, s) is the pair
-    # (theta[order[r]], theta[order[s]]).
-    grid = (np.exp(1j * np.outer(theta_by_cos, p)) * coeffs) @ np.exp(
-        1j * np.outer(q, theta_by_cos)
-    )
-    magnitude = np.abs(grid)
+    # (theta[order[r]], theta[order[s]]). Each row of a product depends only
+    # on its own row of ``left``, so the blocks equal the full product.
+    if _oracle_magnitude is None:
+        _oracle_magnitude = np.empty((ORACLE_GRID, ORACLE_GRID))
+    magnitude = _oracle_magnitude
+    left = np.exp(1j * np.outer(theta_by_cos, p)) * coeffs
+    right = np.exp(1j * np.outer(q, theta_by_cos))
+    block = np.empty((_ORACLE_BLOCK, ORACLE_GRID), dtype=complex)
+    for r in range(0, ORACLE_GRID, _ORACLE_BLOCK):
+        rows = slice(r, r + _ORACLE_BLOCK)
+        np.matmul(left[rows], right, out=block)
+        np.abs(block, out=magnitude[rows])
     _oracle_slot = (key, best, magnitude)
     return best, magnitude
 
@@ -233,17 +246,25 @@ def _feasible_columns(mu):
     """Per row r of the cosine-ordered grid, the feasible columns [lo_r, hi_r).
 
     lo_r counts the columns with c_r + c_s < -mu (that is, <= the float just
-    below -mu) and hi_r those with c_r + c_s <= mu; both are found by one
-    vectorized bisection that evaluates exactly the sums the mask tests.
+    below -mu) and hi_r those with c_r + c_s <= mu. A search on the exact
+    differences limit - c_r gives each count to within rounding; each row's
+    count then steps by one while the exact sum the mask tests, at the
+    count's edge, disagrees with it. Rows are monotone, so this stops at
+    exactly the mask's count, typically after a pass or two.
     """
-    cos_by_cos = _oracle_axes()[3]
+    c = _oracle_axes()[3]
     limits = np.array([[np.nextafter(-mu, -np.inf)], [mu]])
-    count = np.zeros((2, ORACLE_GRID), dtype=np.intp)
-    for step in _BISECTION_STEPS:
-        probe = count + step
-        sums = cos_by_cos + cos_by_cos[np.minimum(probe, ORACLE_GRID) - 1]
-        count = np.where((probe <= ORACLE_GRID) & (sums <= limits), probe, count)
-    return count[0], count[1]
+    count = np.searchsorted(c, limits - c, side="right")
+    last = ORACLE_GRID - 1
+    while True:
+        # The sum just past the count is within the limit: count too low.
+        low = (count <= last) & (c + c[np.minimum(count, last)] <= limits)
+        # The sum at the count's last column is beyond it: count too high.
+        high = (count > 0) & (c + c[np.maximum(count - 1, 0)] > limits)
+        if not (low.any() or high.any()):
+            return count[0], count[1]
+        count += low
+        count -= high
 
 
 def _oracle_scan(element, mu):
@@ -340,12 +361,16 @@ def _x_polynomial(coeffs):
     return q
 
 
-def _interval_max_abs(q, mu):
-    """max |q(s)| over real |s| <= mu: the endpoints and critical points of |q|^2."""
+@functools.lru_cache(maxsize=1)
+def _radial_polynomial(coeffs):
+    """(q, critical points of |q|^2 on the real line) for sphere coefficients ``coeffs``.
+
+    Neither depends on mu, so the levels of a curve share one computation.
+    """
+    q = _x_polynomial(coeffs)
     # On the real line |q|^2 = q * conj(q), a polynomial with real coefficients.
     slope = np.polyder(np.polymul(q, q.conj()).real)
-    points = np.concatenate(([-mu, mu], np.clip(np.roots(slope).real, -mu, mu)))
-    return float(np.max(np.abs(np.polyval(q, points))))
+    return q, np.roots(slope).real
 
 
 def upper_bound(element, mu):
@@ -355,7 +380,9 @@ def upper_bound(element, mu):
     is q(x) for x = u + u^-1 + v + v^-1 and a polynomial q; spec pi(x) lies
     in [-mu, mu], so by the spectral theorem ||pi(q(x))|| <= max |q(s)| over
     |s| <= mu, and 1-dimensional pairs with 2cos(theta) + 2cos(phi) = s
-    attain it. The smaller of the two bounds is returned.
+    attain it. That maximum is taken over the endpoints and the critical
+    points of |q|^2 in the interval. The smaller of the two bounds is
+    returned.
     """
     if not isinstance(element, GroupRingElement):
         raise TypeError("expected a GroupRingElement")
@@ -363,7 +390,9 @@ def upper_bound(element, mu):
     bound = float(element.coefficient_l1())
     coeffs = _radial_coefficients(element)
     if coeffs is not None:
-        bound = min(bound, _interval_max_abs(_x_polynomial(coeffs), mu))
+        q, critical = _radial_polynomial(tuple(coeffs))
+        points = np.concatenate(([-mu, mu], np.clip(critical, -mu, mu)))
+        bound = min(bound, float(np.max(np.abs(np.polyval(q, points)))))
     return bound
 
 
@@ -472,13 +501,16 @@ def _candidate_starts(element, mu, config, pool):
     """
     if 1 in config.dims:
         _, theta, phi = _oracle_scan(element, mu)
-        start = one_dim_rep(theta, phi)
+        u = np.array([[np.exp(1j * theta)]])
         if phi == np.pi - theta:
             # On the antidiagonal v = -conj(u) makes the generator sum cancel
             # exactly, where e^(i theta) + e^(i (pi - theta)) leaves rounding
             # that can exceed mu = 0.
-            start = Representation(start.u, -start.u.conj())
-        yield start
+            v = -u.conj()
+        else:
+            v = np.array([[np.exp(1j * phi)]])
+        # Unit scalars: the witness check of estimate_norm covers them.
+        yield Representation._unchecked(u, v)
     for witness in pool:
         yield retract_to(witness, mu)
     for dim in config.dims:

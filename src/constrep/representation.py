@@ -100,10 +100,10 @@ def evaluate(rep, element):
     d = rep.dim
     images = letter_images(rep)
     out = np.zeros((d, d), dtype=complex)
-    eye = np.eye(d, dtype=complex)
     for word, coeff in element.terms.items():
-        mat = eye
-        for letter in word.letters:
+        letters = word.letters
+        mat = images[letters[0]] if letters else np.eye(d, dtype=complex)
+        for letter in letters[1:]:
             mat = mat @ images[letter]
         out = out + coeff * mat
     return out
@@ -157,11 +157,18 @@ def deform(rep, t):
     each generator satisfies g(W) + g(W)* = (1-t)(W + W*). The images are
     unitary up to the eigendecomposition residual and are not re-checked
     here; :func:`~constrep.optimize.estimate_norm` checks its witness.
+    At t = 1 the eigenvalues are +-i, so each image is skew-Hermitian up to
+    that residual; it is replaced by its skew-Hermitian part (W - W*)/2,
+    which is skew-Hermitian in floating point, so the images' sum with
+    their adjoints, and the constraint value, are exactly 0.
     """
     fn = deformation_function(t)
-    return Representation._unchecked(
-        apply_circle_function(rep.u, fn), apply_circle_function(rep.v, fn)
-    )
+    u = apply_circle_function(rep.u, fn)
+    v = apply_circle_function(rep.v, fn)
+    if t == 1.0:
+        u = (u - u.conj().T) / 2.0
+        v = (v - v.conj().T) / 2.0
+    return Representation._unchecked(u, v)
 
 
 def retract_to(rep, mu):
@@ -169,7 +176,8 @@ def retract_to(rep, mu):
 
     Already-feasible pairs are returned unchanged (the same object); an
     infeasible pair with constraint value m is deformed with t = 1 - mu/m,
-    which lands the constraint on mu up to the decomposition residual.
+    which lands the constraint on mu up to the decomposition residual, and
+    exactly on 0 when mu = 0.
     """
     mu = check_mu(mu)
     m = constraint_value(rep)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from constrep.representation import (
     Representation,
     constraint_value,
     evaluate,
+    letter_images,
     one_dim_rep,
     random_constrained,
     retract_to,
@@ -321,10 +323,10 @@ def test_one_dim_oracle_argmax_is_feasible():
         assert abs(value - level) < 1e-12  # for x the value equals the level
 
 
-def _syllable_element(rng):
-    """2-4 terms of 1-3 alternating syllables with |exponent| <= 16."""
+def _syllable_element(rng, terms=None):
+    """``terms`` (default 2-4) terms of 1-3 alternating syllables with |exponent| <= 16."""
     element = GroupRingElement.zero()
-    for _ in range(int(rng.integers(2, 5))):
+    for _ in range(int(rng.integers(2, 5)) if terms is None else terms):
         first = int(rng.integers(0, 2))
         term = GroupRingElement.from_scalar(1.0)
         for s in range(int(rng.integers(1, 4))):
@@ -333,6 +335,27 @@ def _syllable_element(rng):
         coeff = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         element = element + coeff * term
     return element
+
+
+def _identity_first_evaluate(rep, element):
+    """evaluate with every word's product started from the identity matrix."""
+    images = letter_images(rep)
+    out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for word, coeff in element.terms.items():
+        mat = np.eye(rep.dim, dtype=complex)
+        for letter in word.letters:
+            mat = mat @ images[letter]
+        out = out + coeff * mat
+    return out
+
+
+def test_evaluate_equals_the_identity_first_products():
+    for seed in range(20):
+        element = _syllable_element(np.random.default_rng(seed))
+        for dim in (1, 2, 4, 8):
+            rep = random_constrained(dim, 4.0, seed=(seed, dim))
+            for e in (element, element + 1.5):  # with and without the empty word
+                assert np.array_equal(evaluate(rep, e), _identity_first_evaluate(rep, e))
 
 
 def _reference_oracle(element, mu):
@@ -407,6 +430,11 @@ _NAMED_ORACLE_ELEMENTS = ("u + u^-1 + v + v^-1", "u*v - v*u", "u + v", "u - u^-1
 def test_oracle_is_bitwise_the_two_product_scan():
     elements = [_syllable_element(np.random.default_rng(seed)) for seed in range(20)]
     elements += [parse_element(text) for text in _NAMED_ORACLE_ELEMENTS]
+    # Sums of 20-40 terms: every block product sums more terms.
+    elements += [
+        _syllable_element(np.random.default_rng(seed), terms)
+        for seed, terms in zip(range(100, 104), (20, 27, 33, 40))
+    ]
     x = elements[20]
     pairs = [(e, mu) for e in elements for mu in (0.0, 1e-12, 1e-9, 0.5, 2.0, 3.999, 4.0)]
     # Exact grid levels and their neighbours, where the mask flips by one ulp;
@@ -430,7 +458,14 @@ def test_feasible_columns_are_the_mask_in_cosine_order():
     order = np.argsort(c, kind="stable")
     assert np.array_equal(order, optimize._oracle_axes()[1])
     columns = np.arange(720)
-    for mu in (0.0, 0.5, 2.0, 4.0, *_grid_levels(8)):
+    # At the exact grid levels and their neighbours a search on limit - c_r
+    # miscounts rows by rounding, and the one-column steps correct them.
+    levels = [
+        mu
+        for level in _grid_levels(30)
+        for mu in (float(np.nextafter(level, -np.inf)), level, min(float(np.nextafter(level, np.inf)), 4.0))
+    ]
+    for mu in (0.0, 0.5, 2.0, 4.0, *levels):
         mask = (np.abs(c[:, None] + c[None, :]) <= mu)[np.ix_(order, order)]
         lo, hi = optimize._feasible_columns(mu)
         ranges = (columns >= lo[:, None]) & (columns < hi[:, None])
@@ -461,10 +496,27 @@ def test_import_builds_no_oracle_grid():
         "       if isinstance(value, np.ndarray) and value.size > optimize.ORACLE_GRID]\n"
         "assert not big, big\n"
         "assert optimize._oracle_slot is None\n"
+        "assert optimize._oracle_magnitude is None\n"
         "assert optimize._oracle_axes.cache_info().currsize == 0\n"
     )
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
+
+
+def test_new_element_scan_reuses_the_grid_buffer():
+    optimize._oracle_scan(averaging_element(), 2.0)
+    buffer = optimize._oracle_magnitude
+    element = _syllable_element(np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        optimize._oracle_scan(element, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A fresh 720 x 720 complex product and its magnitude would be 12 MB.
+    assert peak < 1 << 20, peak
+    assert optimize._oracle_magnitude is buffer
+    assert optimize._oracle_slot[2] is buffer
 
 
 def test_one_dim_oracle_checks_its_arguments():
@@ -565,6 +617,34 @@ def test_upper_bound_closed_forms():
         assert result.value >= result.upper - OptimizerConfig().stall_tolerance
         assert result.gap <= OptimizerConfig().stall_tolerance
         assert result.converged
+
+
+def _uncached_upper_bound(element, mu):
+    """upper_bound with the radial polynomial and its critical points rebuilt per call."""
+    bound = float(element.coefficient_l1())
+    coeffs = optimize._radial_coefficients(element)
+    if coeffs is not None:
+        q = optimize._x_polynomial(coeffs)
+        slope = np.polyder(np.polymul(q, q.conj()).real)
+        points = np.concatenate(([-mu, mu], np.clip(np.roots(slope).real, -mu, mu)))
+        bound = min(bound, float(np.max(np.abs(np.polyval(q, points)))))
+    return bound
+
+
+def test_upper_bound_equals_the_uncached_formula():
+    x = averaging_element()
+    other = parse_element("u*v + 1")
+    for element in [x**k for k in range(1, 5)] + [x * x - 4]:
+        for mu in _grid_levels(30):
+            # Radial, non-radial, another radial, radial: the cached entry is
+            # evicted and rebuilt.
+            for e in (element, other, x * x - 4, element):
+                assert upper_bound(e, mu) == _uncached_upper_bound(e, mu)
+    # Along one element's levels q and its critical points are built once.
+    optimize._radial_polynomial.cache_clear()
+    for mu in _grid_levels(30):
+        upper_bound(x**3, mu)
+    assert optimize._radial_polynomial.cache_info().misses == 1
 
 
 def test_upper_bound_is_l1_for_non_radial_elements():

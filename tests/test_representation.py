@@ -202,6 +202,14 @@ def test_retract_to_zero_gives_anticommuting_sums():
     assert np.max(np.abs(total)) < 1e-8
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+def test_retract_to_zero_lands_exactly_on_zero(dim):
+    for seed in range(200):
+        pulled = retract_to(random_constrained(dim, 4.0, seed=seed), 0.0)
+        assert constraint_value(pulled) == 0.0
+        assert np.array_equal(_sum_matrix(pulled), np.zeros((dim, dim)))
+
+
 def test_zero_constrained_identity_input():
     rep = zero_constrained_from(np.eye(3, dtype=complex))
     assert np.max(np.abs(rep.v + np.eye(3))) < 1e-12
