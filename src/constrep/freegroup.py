@@ -2,6 +2,7 @@
 
 Words are tuples of letters ``(generator, exponent)`` with generator ``"u"``
 or ``"v"`` and exponent ``+1`` or ``-1``, kept freely reduced at all times.
+Each word also keeps its syllables, the maximal runs ``(generator, power)``.
 Group-ring elements are finite complex combinations of words with exact
 dictionary arithmetic; a small text grammar round-trips through
 :func:`parse_element` / :func:`format_element`.
@@ -9,6 +10,7 @@ dictionary arithmetic; a small text grammar round-trips through
 
 from __future__ import annotations
 
+import itertools
 import re
 
 GENERATORS = ("u", "v")
@@ -16,7 +18,9 @@ GENERATORS = ("u", "v")
 # Canonical letter order used for printing and term sorting.
 _LETTER_RANK = {("u", 1): 0, ("u", -1): 1, ("v", 1): 2, ("v", -1): 3}
 
-# Guard for the parser: exponents expand into letter sequences.
+# Guard for the parser. A word stores its letters, so parsing u^k costs O(k);
+# evaluating it costs one product per syllable, and the ascent gradient one
+# step per block of up to 64 letters of a syllable.
 MAX_EXPONENT = 2**16
 
 
@@ -50,16 +54,29 @@ def reduce_letters(letters):
     return tuple(stack)
 
 
-class Word:
-    """A freely reduced word; the empty word is the group identity."""
+def _syllables(letters):
+    """Maximal runs of one generator in a reduced letter sequence, as
+    ``(generator, power)`` pairs; u*u*v^-1 gives ``(("u", 2), ("v", -1))``.
 
-    __slots__ = ("letters",)
+    In a reduced sequence adjacent letters of one generator are equal, so
+    each run is one letter repeated.
+    """
+    return tuple((gen, exp * len(list(run))) for (gen, exp), run in itertools.groupby(letters))
+
+
+class Word:
+    """A freely reduced word; the empty word is the group identity.
+
+    ``letters`` and ``syllables`` describe the same word; the syllables are
+    computed once, when the word is made.
+    """
+
+    __slots__ = ("letters", "syllables")
 
     def __init__(self, letters=(), *, _reduced=False):
-        if _reduced:
-            object.__setattr__(self, "letters", tuple(letters))
-        else:
-            object.__setattr__(self, "letters", reduce_letters(letters))
+        letters = tuple(letters) if _reduced else reduce_letters(letters)
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "syllables", _syllables(letters))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -87,8 +104,8 @@ class Word:
 
     def generator_sums(self):
         """Total exponent of each generator: returns ``(sum_u, sum_v)``."""
-        p = sum(exp for gen, exp in self.letters if gen == "u")
-        q = sum(exp for gen, exp in self.letters if gen == "v")
+        p = sum(power for gen, power in self.syllables if gen == "u")
+        q = sum(power for gen, power in self.syllables if gen == "v")
         return p, q
 
     def sort_key(self):
@@ -107,16 +124,7 @@ class Word:
     def __str__(self):
         if not self.letters:
             return "1"
-        runs = []
-        for gen, exp in self.letters:
-            if runs and runs[-1][0] == gen and (runs[-1][1] > 0) == (exp > 0):
-                runs[-1][1] += exp
-            else:
-                runs.append([gen, exp])
-        parts = []
-        for gen, exp in runs:
-            parts.append(gen if exp == 1 else f"{gen}^{exp}")
-        return "*".join(parts)
+        return "*".join(gen if power == 1 else f"{gen}^{power}" for gen, power in self.syllables)
 
 
 class GroupRingElement:

@@ -18,9 +18,12 @@ Ascent direction: with (sigma, xi, eta) the top singular triple of pi(a),
 the derivative of sigma along U -> exp(i s H) U is <H, G_U> for a Hermitian
 G_U (and likewise for V). Each letter of a word with coefficient c adds the
 rank-one piece c * b a^*, where a^* = xi^* (letters before it) and
-b = (letters after it) eta. Both come from vector recursions along the
-word, O(d^2) per letter, and the pieces of each letter kind are summed as
-one matrix product. Steps multiply on the left by
+b = (letters after it) eta. Words are walked by syllables (runs u^k, v^k):
+pi(a) costs one matrix product per syllable and the gradient a few batched
+products per syllable, with powers read from tables (I, W, ..., W^t),
+t <= 64, that the objective builds once per pair; a syllable longer than t
+takes one such step per t letters, so neither time nor memory grows letter
+by letter. Steps multiply on the left by
 exp(i * step * G/||G||) and are followed by the exact retraction, so every
 iterate stays feasible. Only improving proposals are accepted and the step
 size decays geometrically. The direction depends only on the current pair,
@@ -43,13 +46,14 @@ from .representation import (
     check_mu,
     evaluate,
     letter_images,
+    power_tables,
     random_constrained,
     retract_to,
 )
 from .linalg import (
     NonUnitaryError,
     UNITARY_TOL,
-    hermitian_eig,
+    SpectralDecomposition,
     top_singular_triple,
     unitarity_defect,
     unitary_exponential,
@@ -402,36 +406,70 @@ def upper_bound(element, mu):
 
 
 def _objective(element, rep):
-    sigma, left, right, _ = top_singular_triple(evaluate(rep, element))
-    return sigma, left, right
+    """(sigma, left, right, tables): the top singular triple of pi(element)
+    and the power tables it was evaluated with, which :func:`_subgradient`
+    reuses at the same pair."""
+    tables = power_tables(rep, element)
+    sigma, left, right, _ = top_singular_triple(evaluate(rep, element, tables=tables))
+    return sigma, left, right, tables
 
 
-def _subgradient(element, rep, left, right):
+def _subgradient(element, rep, left, right, tables):
     """Hermitian ascent directions (G_u, G_v) for the top singular value.
 
     Letter i of a word with coefficient c gives the rank-one piece
     P = c * b_i a_i^*, with a_i^* = left^* (letters before i) and
     b_i = (letters after i) right; a letter u adds U P to C_u and u^-1
     subtracts P U* (likewise for v), and G = (i/2)(C - C*).
+
+    A syllable W^k with |k| >= 2 is walked in chunks of n <= t letters,
+    with T = (I, W, ..., W^t) its letter's table in ``tables``. With a^* the
+    row before a chunk and b the column after it, the chunk's rows a^* W^j
+    (j < n) are one batched product with T[:n], and its columns W^j b
+    (j <= n) one with T[n::-1]; the last column starts the chunk before.
+    Each chunk's pieces are summed as one product, and single letters'
+    pieces as one product per letter kind at the end.
     """
     images = letter_images(rep)
     pieces = {letter: ([], []) for letter in images}
+    chunk_sums = dict.fromkeys(images)
     for word, coeff in element.terms.items():
-        letters = word.letters
+        # (letter, table, n): a single letter (table None) or a chunk of n.
+        steps = []
+        for gen, power in word.syllables:
+            letter, k = (gen, 1 if power > 0 else -1), abs(power)
+            if k == 1:
+                steps.append((letter, None, 1))
+                continue
+            table = tables[letter]
+            t = len(table) - 1
+            steps.extend([(letter, table, t)] * (k // t))
+            if k % t:
+                steps.append((letter, table, k % t))
         rows = [coeff * left.conj()]
-        for letter in letters[:-1]:
-            rows.append(rows[-1] @ images[letter])
+        for letter, table, n in steps[:-1]:
+            rows.append(rows[-1] @ (images[letter] if table is None else table[n]))
         col = right
-        for letter, row in zip(reversed(letters), reversed(rows)):
-            cols, kind_rows = pieces[letter]
-            cols.append(col)
-            kind_rows.append(row)
-            col = images[letter] @ col
+        for (letter, table, n), row in zip(reversed(steps), reversed(rows)):
+            if table is None:
+                cols, kind_rows = pieces[letter]
+                cols.append(col)
+                kind_rows.append(row)
+                col = images[letter] @ col
+                continue
+            chunk_cols = table[n::-1] @ col
+            piece = chunk_cols[1:].T @ (row @ table[:n])
+            total = chunk_sums[letter]
+            chunk_sums[letter] = piece if total is None else total + piece
+            col = chunk_cols[0]
 
     def summed(letter):
         # Sum of the letter kind's rank-one pieces; (d, 0) @ (0, d) is zero.
         cols, rows = pieces[letter]
-        return np.reshape(cols, (-1, rep.dim)).T @ np.reshape(rows, (-1, rep.dim))
+        total = np.reshape(cols, (-1, rep.dim)).T @ np.reshape(rows, (-1, rep.dim))
+        if chunk_sums[letter] is not None:
+            total = total + chunk_sums[letter]
+        return total
 
     def direction(gen):
         c = images[(gen, 1)] @ summed((gen, 1)) - summed((gen, -1)) @ images[(gen, -1)]
@@ -450,25 +488,30 @@ def _ascend(element, mu, start, config, target=np.inf):
     than the stall tolerance, or the gradient vanished.
     """
     current = start
-    value, left, right = _objective(element, current)
+    value, left, right, tables = _objective(element, current)
     history = [value]
     step = config.initial_step
     converged = False
     steps = 0
     # Eigendecompositions of the unit direction at ``current``; a rejected
     # proposal leaves current, left and right, hence the direction, unchanged.
+    # G is (i/2)(C - C*), Hermitian to the last bit, so it goes to eigh as it
+    # is: hermitian_eig's check and symmetrization would change nothing.
     direction = None
     for k in range(1, config.max_steps + 1):
         if value >= target:
             break
         if direction is None:
-            g_u, g_v = _subgradient(element, current, left, right)
+            g_u, g_v = _subgradient(element, current, left, right, tables)
             scale = float(np.sqrt(np.linalg.norm(g_u) ** 2 + np.linalg.norm(g_v) ** 2))
             if scale < _GRADIENT_FLOOR:
                 steps = k
                 converged = True
                 break
-            direction = (hermitian_eig(g_u / scale), hermitian_eig(g_v / scale))
+            direction = (
+                SpectralDecomposition(*np.linalg.eigh(g_u / scale)),
+                SpectralDecomposition(*np.linalg.eigh(g_v / scale)),
+            )
         dec_u, dec_v = direction
         # Products of unitaries: validated once, on the estimate's witness.
         proposal = Representation._unchecked(
@@ -476,10 +519,10 @@ def _ascend(element, mu, start, config, target=np.inf):
             unitary_exponential(dec_v, step) @ current.v,
         )
         proposal = retract_to(proposal, mu)
-        new_value, new_left, new_right = _objective(element, proposal)
+        new_value, new_left, new_right, new_tables = _objective(element, proposal)
         if new_value > value:
             current, value = proposal, new_value
-            left, right = new_left, new_right
+            left, right, tables = new_left, new_right, new_tables
             direction = None
         steps = k
         step *= config.step_decay

@@ -93,18 +93,84 @@ def letter_images(rep):
     }
 
 
-def evaluate(rep, element):
-    """Matrix image of a group-ring element under the representation."""
+# Largest power a table holds. Higher powers are products of its entries, so
+# a table is at most 65 d x d matrices however long the syllable, and the
+# gradient walks a longer syllable in chunks of this many letters.
+_POWER_BLOCK = 64
+
+
+def _power_table(w, t):
+    """(I, W, W^2, ..., W^t) as one (t + 1, d, d) array, filled by doubling."""
+    table = np.empty((t + 1, *w.shape), dtype=complex)
+    table[0] = np.eye(w.shape[0])
+    table[1] = w
+    n = 1
+    while n < t:
+        m = min(n, t - n)
+        # W^(n+j) = W^j W^n for j = 1..m, one batched product.
+        np.matmul(table[1:m + 1], table[n], out=table[n + 1:n + m + 1])
+        n += m
+    return table
+
+
+def power_tables(rep, element):
+    """Each letter's power table for ``element``, keyed like :func:`letter_images`.
+
+    A generator whose largest |power| in the element's syllables is K >= 2
+    gets (I, W, ..., W^t) for its image W and the adjoints (I, W*, ...,
+    (W*)^t) for its inverse letter, t = min(K, 64); one that appears only to
+    the power +-1 gets None for both letters, and the images serve directly.
+    """
+    top = {"u": 1, "v": 1}
+    for word in element.terms:
+        for gen, power in word.syllables:
+            top[gen] = max(top[gen], abs(power))
+    tables = {}
+    for gen, k in top.items():
+        table = _power_table(getattr(rep, gen), min(k, _POWER_BLOCK)) if k > 1 else None
+        tables[(gen, 1)] = table
+        tables[(gen, -1)] = None if table is None else table.conj().transpose(0, 2, 1)
+    return tables
+
+
+def _syllable_image(images, tables, gen, power):
+    """W^power for the image W of ``gen``; a negative power is read from the
+    inverse letter's table."""
+    letter = (gen, 1 if power > 0 else -1)
+    table = tables[letter]
+    if table is None:
+        return images[letter]
+    k, t = abs(power), len(table) - 1
+    if k <= t:
+        return table[k]
+    q, r = divmod(k, t)
+    mat = np.linalg.matrix_power(table[t], q)
+    return mat @ table[r] if r else mat
+
+
+def evaluate(rep, element, *, tables=None):
+    """Matrix image of a group-ring element under the representation.
+
+    One matrix product per syllable, with powers read from
+    :func:`power_tables` (built here unless ``tables`` is given). A word
+    whose syllables all have power +-1 is multiplied out letter by letter,
+    left to right, from its first letter's image.
+    """
     if not isinstance(element, GroupRingElement):
         raise TypeError("expected a GroupRingElement")
+    if tables is None:
+        tables = power_tables(rep, element)
     d = rep.dim
     images = letter_images(rep)
     out = np.zeros((d, d), dtype=complex)
     for word, coeff in element.terms.items():
-        letters = word.letters
-        mat = images[letters[0]] if letters else np.eye(d, dtype=complex)
-        for letter in letters[1:]:
-            mat = mat @ images[letter]
+        syllables = word.syllables
+        if not syllables:
+            mat = np.eye(d, dtype=complex)
+        else:
+            mat = _syllable_image(images, tables, *syllables[0])
+            for syllable in syllables[1:]:
+                mat = mat @ _syllable_image(images, tables, *syllable)
         out = out + coeff * mat
     return out
 

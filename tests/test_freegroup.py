@@ -209,3 +209,65 @@ def test_adjoint_is_involutive(a):
 def test_addition_commutes(a, b):
     assert a + b == b + a
     assert a - a == GroupRingElement.zero()
+
+
+# Words with runs: syllables (generator, power), |power| <= 5, expanded into
+# letters and reduced, so neighbouring runs may merge or cancel.
+_runs = st.lists(
+    st.tuples(st.sampled_from(["u", "v"]), st.integers(-5, 5).filter(bool)), max_size=6
+)
+_run_words = _runs.map(
+    lambda runs: Word([(gen, 1 if p > 0 else -1) for gen, p in runs for _ in range(abs(p))])
+)
+
+
+def _expand(syllables):
+    return tuple((gen, 1 if p > 0 else -1) for gen, p in syllables for _ in range(abs(p)))
+
+
+def test_word_syllables_examples():
+    assert Word.identity().syllables == ()
+    assert parse_element("u^3*v^-2*u").sorted_terms()[0][0].syllables == (
+        ("u", 3),
+        ("v", -2),
+        ("u", 1),
+    )
+    assert (Word([("u", 1), ("v", 1)]) * Word([("v", 1), ("u", -1)])).syllables == (
+        ("u", 1),
+        ("v", 2),
+        ("u", -1),
+    )
+
+
+@settings(deadline=None)
+@given(_run_words)
+def test_syllables_expand_to_the_letters(w):
+    assert _expand(w.syllables) == w.letters
+    assert all(p != 0 for _, p in w.syllables)
+    # Maximal runs: neighbouring syllables belong to different generators.
+    assert all(a[0] != b[0] for a, b in zip(w.syllables, w.syllables[1:]))
+    assert w.generator_sums() == (
+        sum(e for g, e in w.letters if g == "u"),
+        sum(e for g, e in w.letters if g == "v"),
+    )
+
+
+@settings(deadline=None)
+@given(_run_words)
+def test_inverse_reverses_and_negates_syllables(w):
+    assert w.inverse().syllables == tuple((gen, -p) for gen, p in reversed(w.syllables))
+
+
+@settings(deadline=None)
+@given(_run_words, _run_words)
+def test_product_merges_syllables_at_the_boundary(a, b):
+    left, right = list(a.syllables), list(b.syllables)
+    # Runs of one generator meet at the boundary: their powers add, and a
+    # run that cancels exposes the next pair.
+    while left and right and left[-1][0] == right[0][0]:
+        gen, p = left.pop()
+        q = right.pop(0)[1]
+        if p + q:
+            left.append((gen, p + q))
+            break
+    assert (a * b).syllables == tuple(left + right)

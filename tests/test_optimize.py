@@ -36,6 +36,7 @@ from constrep.representation import (
     evaluate,
     letter_images,
     one_dim_rep,
+    power_tables,
     random_constrained,
     retract_to,
 )
@@ -102,16 +103,13 @@ def _long_word_element(seed):
     return element
 
 
-@pytest.mark.parametrize("dim", [1, 2, 4, 8], ids="d{}".format)
-@pytest.mark.parametrize("seed", [0, 1], ids="seed{}".format)
-def test_subgradient_matches_finite_differences(seed, dim):
-    element = _long_word_element(seed)
-    rep = random_constrained(dim, 4.0, seed=31 + seed)
-    value, left, right = optimize._objective(element, rep)
-    g_u, g_v = optimize._subgradient(element, rep, left, right)
+def _check_gradient_by_finite_differences(element, rep, eps=1e-6):
+    _, left, right, tables = optimize._objective(element, rep)
+    g_u, g_v = optimize._subgradient(element, rep, left, right, tables)
     assert np.linalg.norm(g_u - g_u.conj().T) < 1e-12
     assert np.linalg.norm(g_v - g_v.conj().T) < 1e-12
 
+    dim = rep.dim
     rng = np.random.default_rng(5)
     for _ in range(4):
         h_u = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -119,8 +117,6 @@ def test_subgradient_matches_finite_differences(seed, dim):
         h_v = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         h_v = (h_v + h_v.conj().T) / 2.0
         predicted = float(np.real(np.trace(h_u @ g_u) + np.trace(h_v @ g_v)))
-
-        eps = 1e-6
 
         def shifted(sign):
             moved = Representation(
@@ -133,11 +129,32 @@ def test_subgradient_matches_finite_differences(seed, dim):
         assert abs(numeric - predicted) < 1e-6 * max(1.0, abs(predicted))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4, 8], ids="d{}".format)
+@pytest.mark.parametrize("seed", [0, 1], ids="seed{}".format)
+def test_subgradient_matches_finite_differences(seed, dim):
+    element = _long_word_element(seed)
+    rep = random_constrained(dim, 4.0, seed=31 + seed)
+    _check_gradient_by_finite_differences(element, rep)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8], ids="d{}".format)
+def test_subgradient_matches_finite_differences_past_one_table(dim):
+    # u^150 and v^-130 are longer than a power table (64 rows): each is
+    # walked in three chunks, the last one short (22 and 2 letters). The
+    # central difference's error grows like eps^2 k^3 with the syllable
+    # length k, so the step is 1e-7 (at 1e-6 it reaches 3e-6 at d = 8).
+    element = parse_element("(0.7+0.2i)*u^150*v^-130 - 0.4i*v^3*u^-70*v + u*v^-1 + 0.3")
+    rep = random_constrained(dim, 4.0, seed=41)
+    tables = power_tables(rep, element)
+    assert all(len(table) == 65 for table in tables.values())
+    _check_gradient_by_finite_differences(element, rep, eps=1e-7)
+
+
 def test_subgradient_of_identity_only_element_is_zero():
     element = GroupRingElement.from_scalar(2.0 - 1.0j)
     rep = random_constrained(3, 2.0, seed=7)
-    _, left, right = optimize._objective(element, rep)
-    g_u, g_v = optimize._subgradient(element, rep, left, right)
+    _, left, right, tables = optimize._objective(element, rep)
+    g_u, g_v = optimize._subgradient(element, rep, left, right, tables)
     assert g_u.shape == g_v.shape == (3, 3)
     assert not g_u.any()
     assert not g_v.any()
@@ -148,12 +165,12 @@ def _reference_ascent(element, mu, start, config):
     recomputed on every step; returns _ascend's 4-tuple and the number of
     rejected proposals."""
     current = start
-    value, left, right = optimize._objective(element, current)
+    value, left, right, tables = optimize._objective(element, current)
     history = [value]
     step = config.initial_step
     steps, converged, rejected = 0, False, 0
     for k in range(1, config.max_steps + 1):
-        g_u, g_v = optimize._subgradient(element, current, left, right)
+        g_u, g_v = optimize._subgradient(element, current, left, right, tables)
         scale = float(np.sqrt(np.linalg.norm(g_u) ** 2 + np.linalg.norm(g_v) ** 2))
         if scale < optimize._GRADIENT_FLOOR:
             steps, converged = k, True
@@ -163,9 +180,10 @@ def _reference_ascent(element, mu, start, config):
             unitary_exponential(hermitian_eig(g_v / scale), step) @ current.v,
         )
         proposal = retract_to(proposal, mu)
-        new_value, new_left, new_right = optimize._objective(element, proposal)
+        new_value, new_left, new_right, new_tables = optimize._objective(element, proposal)
         if new_value > value:
             current, value, left, right = proposal, new_value, new_left, new_right
+            tables = new_tables
         else:
             rejected += 1
         steps = k
@@ -204,9 +222,9 @@ def test_ascent_computes_direction_once_per_accepted_point(monkeypatch):
     subgradient, objective = optimize._subgradient, optimize._objective
     events = []
 
-    def logged_subgradient(element, rep, left, right):
+    def logged_subgradient(element, rep, left, right, tables):
         events.append(("direction", rep, None))
-        return subgradient(element, rep, left, right)
+        return subgradient(element, rep, left, right, tables)
 
     def logged_objective(element, rep):
         result = objective(element, rep)
@@ -349,13 +367,70 @@ def _identity_first_evaluate(rep, element):
     return out
 
 
+def _letter_word_element(rng):
+    """2-4 terms of 1-6 letters whose neighbours belong to different
+    generators, so every syllable has power +-1."""
+    element = GroupRingElement.zero()
+    for _ in range(int(rng.integers(2, 5))):
+        first = int(rng.integers(0, 2))
+        term = GroupRingElement.from_scalar(1.0)
+        for s in range(int(rng.integers(1, 7))):
+            term = term * generator("uv"[(first + s) % 2], int(rng.choice((-1, 1))))
+        element = element + complex(rng.standard_normal(), rng.standard_normal()) * term
+    return element
+
+
 def test_evaluate_equals_the_identity_first_products():
+    """Bit for bit where every syllable has power +-1; within rounding otherwise.
+
+    A word of single letters is still multiplied out letter by letter from
+    its first letter's image, so x, the averaging element and such words
+    match the loop exactly. A longer syllable W^k is read from a power table
+    filled by doubling (W^3 = W (W W), not (W W) W), so its products are
+    grouped differently and agree only to rounding: within
+    8 * letters * eps * sum |coeff| for unitary images.
+    """
+    x = averaging_element()
+    for dim in (1, 2, 4, 8):
+        rep = random_constrained(dim, 4.0, seed=(99, dim))
+        for e in (x, x * 0.5 - 1.0, parse_element("u*v^-1*u - 2i*v*u")):
+            assert np.array_equal(evaluate(rep, e), _identity_first_evaluate(rep, e))
+
+    def check_rounding(rep, e):
+        letters = max(len(w) for w in e.terms)
+        error = np.max(np.abs(evaluate(rep, e) - _identity_first_evaluate(rep, e)))
+        assert error <= 8 * letters * np.finfo(float).eps * e.coefficient_l1()
+
     for seed in range(20):
-        element = _syllable_element(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        single, element = _letter_word_element(rng), _syllable_element(rng)
+        assert all(abs(p) == 1 for w in single.terms for _, p in w.syllables)
         for dim in (1, 2, 4, 8):
             rep = random_constrained(dim, 4.0, seed=(seed, dim))
-            for e in (element, element + 1.5):  # with and without the empty word
+            for e in (single, single + 1.5):  # with and without the empty word
                 assert np.array_equal(evaluate(rep, e), _identity_first_evaluate(rep, e))
+            check_rounding(rep, element)
+            check_rounding(rep, element + 1.5)
+    # Powers above 64 come from the table's last row and a remainder row.
+    rep = random_constrained(4, 4.0, seed=3)
+    for text in ("u^150", "v^-130*u^64", "u^-65*v^128 + 2*u^3"):
+        check_rounding(rep, parse_element(text))
+
+
+def test_one_subgradient_of_a_long_word_is_small():
+    # 131073 letters in three syllables: one table of 65 d x d matrices per
+    # letter and one row vector per 64-letter chunk.
+    element = parse_element("u^65536*v^-65536 + u")
+    rep = random_constrained(8, 4.0, seed=2)
+    _, left, right, tables = optimize._objective(element, rep)
+    tracemalloc.start()
+    try:
+        g_u, g_v = optimize._subgradient(element, rep, left, right, tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    assert np.all(np.isfinite(g_u)) and np.all(np.isfinite(g_v))
 
 
 def _reference_oracle(element, mu):
