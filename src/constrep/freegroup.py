@@ -1,26 +1,26 @@
 """Reduced words in the rank-2 free group and its complex group ring.
 
-Words are tuples of letters ``(generator, exponent)`` with generator ``"u"``
-or ``"v"`` and exponent ``+1`` or ``-1``, kept freely reduced at all times.
-Each word also keeps its syllables, the maximal runs ``(generator, power)``.
-Group-ring elements are finite complex combinations of words with exact
-dictionary arithmetic; a small text grammar round-trips through
-:func:`parse_element` / :func:`format_element`.
+A word is its syllables, the maximal runs ``(generator, power)`` with
+generator ``"u"`` or ``"v"`` and a nonzero integer power, kept freely reduced
+at all times; a letter is a syllable of power +-1. Group-ring elements are
+finite complex combinations of words with exact dictionary arithmetic; a
+small text grammar round-trips through :func:`parse_element` /
+:func:`format_element`.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 
 GENERATORS = ("u", "v")
 
-# Canonical letter order used for printing and term sorting.
-_LETTER_RANK = {("u", 1): 0, ("u", -1): 1, ("v", 1): 2, ("v", -1): 3}
+# Canonical letter order u < u^-1 < v < v^-1, keyed by (generator, power > 0).
+_LETTER_RANK = {("u", True): 0, ("u", False): 1, ("v", True): 2, ("v", False): 3}
 
-# Guard for the parser. A word stores its letters, so parsing u^k costs O(k);
-# evaluating it costs one product per syllable, and the ascent gradient one
-# step per block of up to 64 letters of a syllable.
+# Largest |power| of a syllable given to the parser or to Word, so a word is at
+# most (syllables given) * MAX_EXPONENT letters long. Parsing costs one step per
+# syllable, evaluating one product per syllable, the ascent gradient one step
+# per 64 letters.
 MAX_EXPONENT = 2**16
 
 
@@ -32,75 +32,63 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _check_letter(letter):
-    try:
-        gen, exp = letter
-    except (TypeError, ValueError):
-        raise ValueError(f"letter must be a (generator, exponent) pair, got {letter!r}")
-    if gen not in GENERATORS or exp not in (1, -1):
-        raise ValueError(f"invalid letter {letter!r}")
-    return gen, exp
-
-
-def reduce_letters(letters):
-    """Freely reduce a letter sequence by cancelling adjacent inverse pairs."""
+def _reduce(syllables):
+    """Maximal runs of ``(generator, power)`` pairs: neighbouring runs of one
+    generator merge, and a run whose power cancels lets its neighbours meet."""
     stack = []
-    for letter in letters:
-        gen, exp = _check_letter(letter)
-        if stack and stack[-1] == (gen, -exp):
-            stack.pop()
-        else:
-            stack.append((gen, exp))
+    for gen, power in syllables:
+        if stack and stack[-1][0] == gen:
+            power += stack.pop()[1]
+        if power:
+            stack.append((gen, power))
     return tuple(stack)
 
 
-def _syllables(letters):
-    """Maximal runs of one generator in a reduced letter sequence, as
-    ``(generator, power)`` pairs; u*u*v^-1 gives ``(("u", 2), ("v", -1))``.
-
-    In a reduced sequence adjacent letters of one generator are equal, so
-    each run is one letter repeated.
-    """
-    return tuple((gen, exp * len(list(run))) for (gen, exp), run in itertools.groupby(letters))
-
-
 class Word:
-    """A freely reduced word; the empty word is the group identity.
+    """A freely reduced word, stored as its syllables; the empty word is the
+    group identity. ``Word(pairs)`` reduces any ``(generator, power)`` pairs,
+    letters included."""
 
-    ``letters`` and ``syllables`` describe the same word; the syllables are
-    computed once, when the word is made.
-    """
+    __slots__ = ("syllables", "_length")
 
-    __slots__ = ("letters", "syllables")
-
-    def __init__(self, letters=(), *, _reduced=False):
-        letters = tuple(letters) if _reduced else reduce_letters(letters)
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "syllables", _syllables(letters))
+    def __init__(self, syllables=(), *, _checked=False):
+        if not _checked:
+            syllables = tuple(syllables)
+            for gen, power in syllables:
+                if gen not in GENERATORS:
+                    raise ValueError(f"unknown generator {gen!r}")
+                if type(power) is not int or abs(power) > MAX_EXPONENT:
+                    raise ValueError(f"power must be an int of size <= {MAX_EXPONENT}, got {power!r}")
+        syllables = _reduce(syllables)
+        object.__setattr__(self, "syllables", syllables)
+        object.__setattr__(self, "_length", sum(abs(power) for _, power in syllables))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
     @classmethod
     def identity(cls):
-        return cls((), _reduced=True)
+        return cls()
 
     @property
     def is_identity(self):
-        return not self.letters
+        return not self.syllables
+
+    @property
+    def letters(self):
+        """The word expanded letter by letter, on each access."""
+        return tuple((g, 1 if p > 0 else -1) for g, p in self.syllables for _ in range(abs(p)))
 
     def __len__(self):
-        return len(self.letters)
+        return self._length
 
     def __mul__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.letters + other.letters)
+        return Word(self.syllables + other.syllables, _checked=True)
 
     def inverse(self):
-        inv = tuple((gen, -exp) for gen, exp in reversed(self.letters))
-        # The inverse of a reduced word is already reduced.
-        return Word(inv, _reduced=True)
+        return Word([(gen, -power) for gen, power in reversed(self.syllables)], _checked=True)
 
     def generator_sums(self):
         """Total exponent of each generator: returns ``(sum_u, sum_v)``."""
@@ -109,22 +97,31 @@ class Word:
         return p, q
 
     def sort_key(self):
-        """Length, then letter order u < u^-1 < v < v^-1."""
-        return (len(self.letters), tuple(_LETTER_RANK[l] for l in self.letters))
+        """Length, then letter order u < u^-1 < v < v^-1, read run by run: of two
+        runs of one letter, the shorter is followed by the other generator, which
+        ranks above u and below v, so the longer u-run and the shorter v-run
+        sort first."""
+        runs = ((_LETTER_RANK[g, p > 0], abs(p) if g == "v" else -abs(p)) for g, p in self.syllables)
+        return self._length, tuple(runs)
 
     def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
+        return isinstance(other, Word) and self.syllables == other.syllables
 
     def __hash__(self):
-        return hash(self.letters)
+        return hash(self.syllables)
 
     def __repr__(self):
-        return f"Word({self.letters!r})"
+        return f"Word({self.syllables!r})"
 
     def __str__(self):
-        if not self.letters:
-            return "1"
-        return "*".join(gen if power == 1 else f"{gen}^{power}" for gen, power in self.syllables)
+        # A run longer than MAX_EXPONENT prints as factors that parse: u^65536*u.
+        factors = []
+        for gen, power in self.syllables:
+            while power:
+                k = max(-MAX_EXPONENT, min(power, MAX_EXPONENT))
+                factors.append(gen if k == 1 else f"{gen}^{k}")
+                power -= k
+        return "*".join(factors) or "1"
 
 
 class GroupRingElement:
@@ -259,11 +256,9 @@ def unit():
 
 def generator(name, exponent=1):
     """A single generator (or inverse) as a ring element."""
-    if name not in GENERATORS:
-        raise ValueError(f"unknown generator {name!r}")
     if exponent not in (1, -1):
         raise ValueError("exponent must be +1 or -1")
-    return GroupRingElement.from_word(Word(((name, exponent),), _reduced=True))
+    return GroupRingElement.from_word(Word(((name, exponent),)))
 
 
 def averaging_element():
@@ -376,29 +371,23 @@ class _Parser:
             if float(token[1]) != 1.0:
                 raise ParseError("only the word '1' may appear without a generator", token[2])
             return unit()
-        letters = list(self.factor())
-        while True:
-            if self.peek() == "letter":
-                letters.extend(self.factor())
-            elif self.peek() == "*" and self.peek(1) == "letter":
+        syllables = [self.factor()]
+        while self.peek() == "letter" or (self.peek() == "*" and self.peek(1) == "letter"):
+            if self.peek() == "*":
                 self.next()
-                letters.extend(self.factor())
-            else:
-                break
-        return GroupRingElement.from_word(Word(letters))
+            syllables.append(self.factor())
+        return GroupRingElement.from_word(Word(syllables))
 
     # factor := ('u'|'v') ['^' signed-integer]
     def factor(self):
         token = self.expect("letter")
-        gen = token[1]
         exp = 1
         if self.peek() == "^":
             self.next()
             exp = self.signed_integer()
         if abs(exp) > MAX_EXPONENT:
             raise ParseError("exponent overflow", token[2])
-        sign = 1 if exp >= 0 else -1
-        return tuple((gen, sign) for _ in range(abs(exp)))
+        return token[1], exp
 
     def signed_integer(self):
         sign = 1

@@ -1,10 +1,13 @@
 """Words, group-ring arithmetic, parsing, and canonical printing."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from constrep.freegroup import (
+    MAX_EXPONENT,
     GroupRingElement,
     ParseError,
     Word,
@@ -12,18 +15,32 @@ from constrep.freegroup import (
     format_element,
     generator,
     parse_element,
-    reduce_letters,
     unit,
 )
 
 
 def test_reduce_cancels_adjacent_inverses():
-    assert reduce_letters([("u", 1), ("u", -1), ("v", 1)]) == (("v", 1),)
-    assert reduce_letters([("u", 1), ("v", 1), ("v", -1), ("u", 1)]) == (
+    assert Word([("u", 1), ("u", -1), ("v", 1)]).letters == (("v", 1),)
+    assert Word([("u", 1), ("v", 1), ("v", -1), ("u", 1)]).letters == (
         ("u", 1),
         ("u", 1),
     )
-    assert reduce_letters([("u", 1), ("u", -1)]) == ()
+    assert Word([("u", 1), ("u", -1)]).letters == ()
+
+
+@pytest.mark.parametrize(
+    "syllable",
+    [("w", 1), ("u", 1.0), ("u", True), ("v", MAX_EXPONENT + 1), ("u", -MAX_EXPONENT - 1)],
+)
+def test_word_rejects_invalid_syllables(syllable):
+    with pytest.raises(ValueError):
+        Word([("u", 1), syllable])
+
+
+def test_word_drops_zero_powers():
+    assert Word([("u", 0)]) == Word.identity()
+    assert Word([("u", 1), ("v", 0), ("u", 1)]).syllables == (("u", 2),)
+    assert len(Word([("u", MAX_EXPONENT), ("v", -MAX_EXPONENT)])) == 2 * MAX_EXPONENT
 
 
 def test_word_multiplication_reduces():
@@ -143,8 +160,34 @@ def test_parse_error_carries_position():
 def test_format_canonical_order():
     x = averaging_element()
     assert format_element(x) == "u + u^-1 + v + v^-1"
+    # Letter by letter: uuv < uvv and vuu < vvu.
+    a = parse_element("v^2*u + v*u^2 + u*v^2 + u^2*v")
+    assert format_element(a) == "u^2*v + u*v^2 + v*u^2 + v^2*u"
     assert format_element(GroupRingElement.zero()) == "0"
     assert format_element(unit()) == "1.0"
+
+
+def test_long_runs_print_as_factors_that_parse():
+    for text, printed in [
+        ("u^65536*u", "u^65536*u"),
+        ("u^65536*u^65536", "u^65536*u^65536"),
+        ("2*v^-65536*v^-65536*v^-3", "2.0*v^-65536*v^-65536*v^-3"),
+    ]:
+        a = parse_element(text)
+        assert format_element(a) == printed
+        assert parse_element(format_element(a)) == a
+
+
+def test_parse_cost_is_per_syllable():
+    tracemalloc.start()
+    try:
+        a = parse_element("u^65536*v^-65536 + u")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert sorted(len(w) for w in a.terms) == [1, 2 * MAX_EXPONENT]
+    assert parse_element("u^65536*u^-65536") == unit()
 
 
 def test_format_coefficient_styles():
@@ -165,7 +208,11 @@ def test_format_coefficient_styles():
 _letters = st.lists(
     st.tuples(st.sampled_from(["u", "v"]), st.sampled_from([1, -1])), max_size=6
 )
-_words = _letters.map(Word)
+# Runs of up to MAX_EXPONENT letters, whose merged runs print as several factors.
+_long_runs = st.lists(
+    st.tuples(st.sampled_from(["u", "v"]), st.integers(-MAX_EXPONENT, MAX_EXPONENT)), max_size=5
+)
+_words = st.one_of(_letters.map(Word), _long_runs.map(Word))
 _coeffs = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=8.0, allow_nan=False, allow_infinity=False
 )
@@ -211,18 +258,40 @@ def test_addition_commutes(a, b):
     assert a - a == GroupRingElement.zero()
 
 
-# Words with runs: syllables (generator, power), |power| <= 5, expanded into
-# letters and reduced, so neighbouring runs may merge or cancel.
-_runs = st.lists(
-    st.tuples(st.sampled_from(["u", "v"]), st.integers(-5, 5).filter(bool)), max_size=6
-)
-_run_words = _runs.map(
-    lambda runs: Word([(gen, 1 if p > 0 else -1) for gen, p in runs for _ in range(abs(p))])
-)
+# Letter-level reference: a word as its tuple of letters (generator, +-1),
+# reduced by cancelling adjacent inverse pairs and ordered by length, then
+# letter rank u < u^-1 < v < v^-1.
+_RANK = {("u", 1): 0, ("u", -1): 1, ("v", 1): 2, ("v", -1): 3}
 
 
 def _expand(syllables):
     return tuple((gen, 1 if p > 0 else -1) for gen, p in syllables for _ in range(abs(p)))
+
+
+def _reference_reduce(letters):
+    stack = []
+    for gen, exp in letters:
+        if stack and stack[-1] == (gen, -exp):
+            stack.pop()
+        else:
+            stack.append((gen, exp))
+    return tuple(stack)
+
+
+def _reference_key(letters):
+    return len(letters), tuple(_RANK[letter] for letter in letters)
+
+
+def _assert_maximal_runs(w):
+    assert all(p != 0 for _, p in w.syllables)
+    assert all(a[0] != b[0] for a, b in zip(w.syllables, w.syllables[1:]))
+    assert len(w) == len(w.letters)
+
+
+# Runs (generator, power) with |power| <= 5, zero included, given to Word
+# unreduced, so neighbouring runs may merge or cancel.
+_runs = st.lists(st.tuples(st.sampled_from(["u", "v"]), st.integers(-5, 5)), max_size=6)
+_run_words = _runs.map(Word)
 
 
 def test_word_syllables_examples():
@@ -237,15 +306,15 @@ def test_word_syllables_examples():
         ("v", 2),
         ("u", -1),
     )
+    assert Word([("u", 2), ("v", 3), ("v", -3), ("u", -2), ("v", 1)]).syllables == (("v", 1),)
 
 
 @settings(deadline=None)
-@given(_run_words)
-def test_syllables_expand_to_the_letters(w):
-    assert _expand(w.syllables) == w.letters
-    assert all(p != 0 for _, p in w.syllables)
-    # Maximal runs: neighbouring syllables belong to different generators.
-    assert all(a[0] != b[0] for a, b in zip(w.syllables, w.syllables[1:]))
+@given(_runs)
+def test_syllables_expand_to_the_letters(runs):
+    w = Word(runs)
+    assert w.letters == _reference_reduce(_expand(runs))
+    _assert_maximal_runs(w)
     assert w.generator_sums() == (
         sum(e for g, e in w.letters if g == "u"),
         sum(e for g, e in w.letters if g == "v"),
@@ -256,18 +325,29 @@ def test_syllables_expand_to_the_letters(w):
 @given(_run_words)
 def test_inverse_reverses_and_negates_syllables(w):
     assert w.inverse().syllables == tuple((gen, -p) for gen, p in reversed(w.syllables))
+    assert w.inverse().letters == tuple((gen, -e) for gen, e in reversed(w.letters))
 
 
 @settings(deadline=None)
 @given(_run_words, _run_words)
 def test_product_merges_syllables_at_the_boundary(a, b):
-    left, right = list(a.syllables), list(b.syllables)
-    # Runs of one generator meet at the boundary: their powers add, and a
-    # run that cancels exposes the next pair.
-    while left and right and left[-1][0] == right[0][0]:
-        gen, p = left.pop()
-        q = right.pop(0)[1]
-        if p + q:
-            left.append((gen, p + q))
-            break
-    assert (a * b).syllables == tuple(left + right)
+    assert (a * b).letters == _reference_reduce(a.letters + b.letters)
+    _assert_maximal_runs(a * b)
+
+
+# Up to three runs of at most three letters: lists of these hold many pairs of
+# equal length that share a first run, where the order is decided run by run.
+_short_run_words = st.lists(
+    st.tuples(st.sampled_from(["u", "v"]), st.integers(-3, 3)), max_size=3
+).map(Word)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.lists(_short_run_words, min_size=2, max_size=16))
+def test_sort_key_orders_as_the_letters(words):
+    for a in words:
+        for b in words:
+            assert (a.sort_key() < b.sort_key()) == (
+                _reference_key(a.letters) < _reference_key(b.letters)
+            )
+            assert (a.sort_key() == b.sort_key()) == (a == b)
