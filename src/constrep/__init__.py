@@ -86,7 +86,6 @@ from .homotopy import (
 )
 from .bundle import (
     KESTEN_NORM,
-    cayley_ball,
     cayley_ball_norm,
     export_csv,
     read_curve_csv,
@@ -153,7 +152,6 @@ __all__ = [
     "winding_total",
     # bundle
     "KESTEN_NORM",
-    "cayley_ball",
     "cayley_ball_norm",
     "export_csv",
     "read_curve_csv",

@@ -2,22 +2,44 @@
 
 The ball of radius R in the Cayley graph of the free group on two
 generators is a finite piece of the 4-regular tree with 2 * 3**R - 1
-vertices. Its adjacency norm increases with R to 2 * sqrt(3), the spectral
-radius of the tree (Kesten 1959). The norm comes from an (R+1) x (R+1)
-radial Jacobi matrix, whose size grows with R rather than with the vertex
-count; the sparse adjacency matrix itself is built only as a small-depth
-cross-check. The module also serializes estimated norm curves as CSV and
-deterministic SVG plots.
+vertices. Its adjacency norm increases with R to 2 sqrt(3), the spectral
+radius of the tree (Kesten 1959). By Perron-Frobenius the norm has a
+positive eigenvector, which the root's stabilizer fixes, so it is radial:
+on radial vectors normalized by the sphere sizes 1, 4, 12, 36, ..., the
+adjacency is the (R+1) x (R+1) Jacobi matrix J with zero diagonal and
+off-diagonal (2, sqrt 3, ..., sqrt 3), and the norm is its top eigenvalue.
+
+With lambda = 2 sqrt(3) cos(theta), the vector p_k = sin((R + 1 - k) theta),
+k = 1..R, satisfies rows 2..R of J p = lambda p, by
+sin(a + theta) + sin(a - theta) = 2 sin(a) cos(theta) and p_{R+1} = 0.
+Row 1 then fixes p_0 = (sqrt(3) / 2) sin((R + 1) theta), and row 0,
+2 p_1 = lambda p_0, leaves the secular equation
+
+    3 cos(theta) sin((R + 1) theta) = 2 sin(R theta).
+
+Its left side minus its right is (R + 3) theta > 0 near 0 and negative at
+pi / (R + 1). By interlacing with rows 1..R of J, whose top eigenvalue is
+2 sqrt(3) cos(pi / (R + 1)), the one root between is the top eigenvalue's,
+so a norm costs one scalar root at any R.
+
+The cap MAX_BALL_DEPTH = 10**5 keeps tables strictly increasing: norms
+differ by about 2 sqrt(3) pi^2 / R^3, 77 ulps at 10**5, and from about
+R = 3.55 * 10**5 on neighbours can round to the same double.
+
+The module also serializes estimated norm curves as CSV and deterministic
+SVG plots.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 KESTEN_NORM = 2.0 * math.sqrt(3.0)
-MAX_BALL_DEPTH = 14
+MAX_BALL_DEPTH = 10**5
+# Newton stops at a step under a few ulps of theta, within 5 steps up to the
+# cap; 64 steps would let bisection alone reach an ulp of the root.
+_SECULAR_STEPS = 64
+_THETA_TOL = 2.0**-50
 
 
 def _check_depth(depth):
@@ -35,72 +57,37 @@ def ball_vertex_count(depth):
     return 2 * 3**depth - 1
 
 
-def cayley_ball(depth):
-    """Sparse adjacency matrix of the radius-``depth`` ball of the tree.
-
-    Vertices are reduced words of length at most ``depth`` in breadth-first
-    order (the identity is vertex 0), and edges join each word to its four
-    one-letter extensions, except that boundary words keep only the edge to
-    their parent. The graph is a tree: the root has degree 4, interior
-    vertices degree 4, boundary vertices degree 1.
-    """
-    from scipy.sparse import csr_matrix
-
-    depth = _check_depth(depth)
-
-    # Letters are coded 0..3 as u, u^-1, v, v^-1; the inverse of code k is
-    # k ^ 1. Levels are generated breadth-first; each vertex stores the code
-    # of its last letter so children never undo it.
-    total = ball_vertex_count(depth)
-    rows = []
-    cols = []
-
-    level_codes = np.array([-1], dtype=np.int8)  # root has no last letter
-    level_indices = np.array([0], dtype=np.int64)
-    next_index = 1
-    for _ in range(depth):
-        child_codes = []
-        child_indices = []
-        for parent_pos in range(level_indices.size):
-            parent = int(level_indices[parent_pos])
-            last = int(level_codes[parent_pos])
-            for code in range(4):
-                if last >= 0 and code == (last ^ 1):
-                    continue
-                child = next_index
-                next_index += 1
-                rows.append(parent)
-                cols.append(child)
-                rows.append(child)
-                cols.append(parent)
-                child_codes.append(code)
-                child_indices.append(child)
-        level_codes = np.array(child_codes, dtype=np.int8)
-        level_indices = np.array(child_indices, dtype=np.int64)
-    if next_index != total:
-        raise AssertionError("vertex count mismatch while building the ball")
-
-    data = np.ones(len(rows), dtype=float)
-    return csr_matrix((data, (rows, cols)), shape=(total, total))
-
-
 def cayley_ball_norm(depth):
     """Operator norm of the radius-``depth`` ball adjacency matrix.
 
-    The ball is connected, so by Perron-Frobenius its top eigenvalue is the
-    norm and has a positive eigenvector, unique up to scale. Automorphisms
-    fixing the root permute each sphere transitively and fix that vector,
-    so it is radial (Kesten 1959). On radial vectors, normalized by the
-    square roots of the sphere sizes 1, 4, 12, 36, ..., the adjacency acts
-    as the (R+1) x (R+1) Jacobi matrix with zero diagonal and off-diagonal
-    sqrt(|S_{k+1}| / |S_k|): 2 from the root, sqrt(3) after. Its top
-    eigenvalue is the norm.
+    2 sqrt(3) cos(theta) at the root of the secular equation (see the module
+    docstring), written f = (3 c^2 - 2) sin(R theta) + 3 s c cos(R theta)
+    with s, c = sin(theta), cos(theta), by Newton's method kept inside the
+    bracket by bisection. The start is one fixed-point step from pi / (R + 3)
+    of (R + 1) theta = pi - 2 theta + 2 theta^3 + O(theta^5), true near the root.
     """
     depth = _check_depth(depth)
-    off = np.full(depth, math.sqrt(3.0))
-    off[0] = 2.0
-    jacobi = np.diag(off, 1) + np.diag(off, -1)
-    return float(np.linalg.eigvalsh(jacobi)[-1])
+    lo, hi = 0.0, math.pi / (depth + 1)
+    theta = math.pi / (depth + 3)
+    theta = (math.pi + 2.0 * theta**3) / (depth + 3)
+    for _ in range(_SECULAR_STEPS):
+        s, c = math.sin(theta), math.cos(theta)
+        sr, cr = math.sin(depth * theta), math.cos(depth * theta)
+        g, h = 3.0 * c * c - 2.0, 3.0 * s * c
+        f = g * sr + h * cr
+        if f > 0.0:
+            lo = theta
+        else:
+            hi = theta
+        step = f / (depth * (g * cr - h * sr) - 2.0 * h * sr + 3.0 * (c * c - s * s) * cr)
+        theta -= step
+        if abs(step) <= _THETA_TOL * theta:
+            break
+        if not lo < theta < hi:
+            theta = 0.5 * (lo + hi)
+    # sqrt(12 c^2) rounds no irrational constant; depth 1 gives exactly 2.
+    c = math.cos(theta)
+    return math.sqrt(12.0 * (c * c))
 
 
 def ball_norm_table(max_depth):
@@ -266,7 +253,6 @@ __all__ = [
     "KESTEN_NORM",
     "MAX_BALL_DEPTH",
     "ball_vertex_count",
-    "cayley_ball",
     "cayley_ball_norm",
     "ball_norm_table",
     "CSV_HEADER",

@@ -27,6 +27,8 @@ from . import __version__, bundle, optimize, representation, verify
 from .freegroup import ParseError, format_element, parse_element
 
 MAX_GRID_POINTS = 10001
+# kesten rows print 2 * 3**R - 1; Python prints no int of over 4300 digits.
+MAX_KESTEN_DEPTH = 1000
 
 _CONFIG_KEYS = tuple(
     field.name for field in dataclasses.fields(optimize.OptimizerConfig)
@@ -206,7 +208,7 @@ def build_parser():
         "--depth",
         type=int,
         default=10,
-        help=f"largest ball radius, 1..{bundle.MAX_BALL_DEPTH} (default 10)",
+        help=f"largest ball radius, 1..{MAX_KESTEN_DEPTH} (default 10)",
     )
 
     gen = commands.add_parser(
@@ -254,6 +256,8 @@ def _run_verify(args):
 
 
 def _run_kesten(args):
+    if not 1 <= args.depth <= MAX_KESTEN_DEPTH:
+        raise ValueError(f"depth must lie in [1, {MAX_KESTEN_DEPTH}], got {args.depth}")
     norms = bundle.ball_norm_table(args.depth)
     print("depth vertices norm")
     for radius, norm in enumerate(norms, start=1):

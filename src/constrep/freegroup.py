@@ -10,6 +10,7 @@ small text grammar round-trips through :func:`parse_element` /
 
 from __future__ import annotations
 
+import cmath
 import re
 
 GENERATORS = ("u", "v")
@@ -351,7 +352,10 @@ class _Parser:
     def term(self):
         kind = self.peek()
         if kind in ("number", "imag", "("):
+            position = self.position()
             coeff = self.coefficient()
+            if not cmath.isfinite(coeff):
+                raise ParseError("coefficient overflow", position)
             if self.peek() == "*":
                 self.next()
                 return self.word() * coeff
@@ -385,8 +389,6 @@ class _Parser:
         if self.peek() == "^":
             self.next()
             exp = self.signed_integer()
-        if abs(exp) > MAX_EXPONENT:
-            raise ParseError("exponent overflow", token[2])
         return token[1], exp
 
     def signed_integer(self):
@@ -396,7 +398,11 @@ class _Parser:
         token = self.expect("number")
         if not token[1].isdigit():
             raise ParseError(f"exponent must be an integer, got {token[1]!r}", token[2])
-        return sign * int(token[1])
+        # The length test comes first: int() refuses more than 4300 digits.
+        digits = token[1].lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ParseError("exponent overflow", token[2])
+        return sign * int(digits)
 
     # coeff := number ['i'] | 'i' | '(' complex ')'
     def coefficient(self):

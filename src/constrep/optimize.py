@@ -464,9 +464,10 @@ def _subgradient(element, rep, left, right, tables):
             col = chunk_cols[0]
 
     def summed(letter):
-        # Sum of the letter kind's rank-one pieces; (d, 0) @ (0, d) is zero.
+        # Sum of the letter kind's rank-one pieces. A kind with no single
+        # letter starts from a +0 matrix, which maps a chunk sum's -0.0 to +0.0.
         cols, rows = pieces[letter]
-        total = np.reshape(cols, (-1, rep.dim)).T @ np.reshape(rows, (-1, rep.dim))
+        total = np.array(cols).T @ np.array(rows) if cols else np.zeros((rep.dim, rep.dim))
         if chunk_sums[letter] is not None:
             total = total + chunk_sums[letter]
         return total

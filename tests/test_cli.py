@@ -1,10 +1,13 @@
-"""End-to-end command line behavior through ``python -m constrep``."""
+"""End-to-end command line behavior through ``python -m constrep``, and
+through ``cli.main`` where a test times the command."""
 
 import json
+import time
 
 import pytest
 from conftest import run_cli
 
+from constrep import cli
 from constrep.optimize import NormEstimate
 from constrep.representation import constraint_value, load_representation, one_dim_rep
 
@@ -64,11 +67,14 @@ def test_estimate_is_byte_deterministic():
         ("nonsense",),
         ("estimate", "-e", "u", "-m", "1", "--bogus"),
         ("estimate", "-e", "u", "-m", "1", "--oracle-grid", "720"),
+        ("estimate", "-e", "u^" + "9" * 5000, "-m", "1"),
+        ("estimate", "-e", "1e400*u", "-m", "1"),
     ],
 )
 def test_usage_errors_exit_two(args):
     result = run_cli(*args)
     assert result.returncode == 2
+    assert len(result.stderr) < 1000  # the input is not echoed back
 
 
 def test_verify_winding_suite():
@@ -136,9 +142,21 @@ def test_kesten_table():
 
 
 def test_kesten_rejects_bad_depth():
-    result = run_cli("kesten", "--depth", "0")
-    assert result.returncode == 1
-    assert "error:" in result.stderr
+    for depth in (0, cli.MAX_KESTEN_DEPTH + 1):
+        result = run_cli("kesten", "--depth", str(depth))
+        assert result.returncode == 1
+        assert "error:" in result.stderr
+        assert result.stdout == ""
+
+
+def test_kesten_prints_every_row_up_to_its_cap(capsys):
+    depth = cli.MAX_KESTEN_DEPTH
+    start = time.perf_counter()
+    assert cli.main(["kesten", "--depth", str(depth)]) == 0
+    assert time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == depth + 2
+    assert lines[-2].split()[:2] == [str(depth), str(2 * 3**depth - 1)]
 
 
 def test_config_file_with_flag_override(tmp_path):

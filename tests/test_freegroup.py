@@ -149,12 +149,20 @@ def test_parse_rejects_malformed_input(text):
 
 
 def test_parse_error_carries_position():
-    try:
-        parse_element("u + w")
-    except ParseError as err:
-        assert err.position == 4
-    else:  # pragma: no cover
-        pytest.fail("expected ParseError")
+    for text, position in [
+        ("u + w", 4),
+        ("u^" + "9" * 5000, 2),  # more digits than int() converts
+        ("v*u^-" + "9" * 5000, 5),
+        ("u^65537", 2),
+        ("1e400*u", 0),  # coefficients that overflow to inf
+        ("u + " + "1" * 400 + "*v", 4),
+        ("u - (1e400+0i)*v", 4),
+        ("2 + 1e400i*v", 4),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_element(text)
+        assert info.value.position == position, text
+    assert parse_element("u^" + "0" * 5000 + "7") == parse_element("u^7")
 
 
 def test_format_canonical_order():

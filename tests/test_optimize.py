@@ -417,6 +417,88 @@ def test_evaluate_equals_the_identity_first_products():
         check_rounding(rep, parse_element(text))
 
 
+def _reference_subgradient(element, rep, left, right, tables):
+    """_subgradient as it summed every letter kind, a kind with no single
+    letter included: reshaped empty lists and a (d, 0) @ (0, d) product."""
+    images = letter_images(rep)
+    pieces = {letter: ([], []) for letter in images}
+    chunk_sums = dict.fromkeys(images)
+    for word, coeff in element.terms.items():
+        steps = []
+        for gen, power in word.syllables:
+            letter, k = (gen, 1 if power > 0 else -1), abs(power)
+            if k == 1:
+                steps.append((letter, None, 1))
+                continue
+            table = tables[letter]
+            t = len(table) - 1
+            steps.extend([(letter, table, t)] * (k // t))
+            if k % t:
+                steps.append((letter, table, k % t))
+        rows = [coeff * left.conj()]
+        for letter, table, n in steps[:-1]:
+            rows.append(rows[-1] @ (images[letter] if table is None else table[n]))
+        col = right
+        for (letter, table, n), row in zip(reversed(steps), reversed(rows)):
+            if table is None:
+                pieces[letter][0].append(col)
+                pieces[letter][1].append(row)
+                col = images[letter] @ col
+                continue
+            chunk_cols = table[n::-1] @ col
+            piece = chunk_cols[1:].T @ (row @ table[:n])
+            total = chunk_sums[letter]
+            chunk_sums[letter] = piece if total is None else total + piece
+            col = chunk_cols[0]
+
+    def summed(letter):
+        cols, rows = pieces[letter]
+        total = np.reshape(cols, (-1, rep.dim)).T @ np.reshape(rows, (-1, rep.dim))
+        if chunk_sums[letter] is not None:
+            total = total + chunk_sums[letter]
+        return total
+
+    def direction(gen):
+        c = images[(gen, 1)] @ summed((gen, 1)) - summed((gen, -1)) @ images[(gen, -1)]
+        return 0.5j * (c - c.conj().T)
+
+    return direction("u"), direction("v")
+
+
+def test_subgradient_skipping_empty_letter_kinds_is_bitwise_the_reference():
+    """Compared as bytes, so signed zeros count too. The elements cover
+    every letter kind both with and without single-letter pieces; real
+    images make exact zeros, where a chunk sum's -0.0 must become +0.0."""
+    elements = [
+        parse_element("u^2 - v^3"),  # no single letter
+        parse_element("u^2*v^-3 + (0.5-1i)*v^5*u^-7"),
+        parse_element("u*v^2 - 2i*u^-3*v^-1 + 0.25"),  # single u and v^-1 only
+        parse_element("(1-2i)*u^-1*v^3*u^-1 + v*u^-5"),  # single u^-1 and v only
+    ]
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        elements += [_long_word_element(seed), _syllable_element(rng), _letter_word_element(rng)]
+    kinds = [
+        {(g, p) for w in e.terms for g, p in w.syllables if abs(p) == 1} for e in elements
+    ]
+    for letter in (("u", 1), ("u", -1), ("v", 1), ("v", -1)):
+        assert any(letter in k for k in kinds) and any(letter not in k for k in kinds)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    real_pairs = [
+        Representation(swap, np.diag([-1.0 + 0j, 1.0])),
+        Representation(np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex), swap),
+    ]
+    for index, element in enumerate(elements):
+        reps = [random_constrained(dim, 4.0, seed=(index, dim)) for dim in (1, 2, 4)]
+        for rep in reps + real_pairs:
+            _, left, right, tables = optimize._objective(element, rep)
+            got = optimize._subgradient(element, rep, left, right, tables)
+            want = _reference_subgradient(element, rep, left, right, tables)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+                assert g.tobytes() == w.tobytes()
+
+
 def test_one_subgradient_of_a_long_word_is_small():
     # 131073 letters in three syllables: one table of 65 d x d matrices per
     # letter and one row vector per 64-letter chunk.
