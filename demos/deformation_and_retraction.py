@@ -49,7 +49,8 @@ feasible = retract_to(rep, 4.0)
 print("already feasible at mu=4, same object returned:", feasible is rep)
 
 # At the bottom of the range, a direct constructor builds a partner V for
-# any unitary U so that U + U* + V + V* vanishes identically.
+# any unitary U so that U + U* + V + V* vanishes identically: V = fold(U),
+# the circle function z -> -Re z + i|Im z| applied to U's eigenvalues.
 u = random_unitary(5, seed=2)
 zero_rep = zero_constrained_from(u)
 total = zero_rep.u + zero_rep.u.conj().T + zero_rep.v + zero_rep.v.conj().T

@@ -7,9 +7,9 @@ the free group on two generators. It provides:
 
 * :mod:`constrep.freegroup` -- reduced words, group-ring elements, parsing
   and canonical printing;
-* :mod:`constrep.linalg` -- eigendecompositions of unitary and hermitian
-  matrices, functional calculus, and the operator norm with its top
-  singular triple, all on LAPACK;
+* :mod:`constrep.linalg` -- the unitary eigendecomposition and the one
+  functional calculus, circle functions of a unitary, with the operator
+  norm and its top singular triple, all on LAPACK;
 * :mod:`constrep.representation` -- constrained pairs, evaluation of ring
   elements, the spectral deformation and exact retraction between
   constraint levels, and JSON persistence;
@@ -37,11 +37,8 @@ from .freegroup import (
     unit,
 )
 from .linalg import (
-    NonHermitianError,
     NonUnitaryError,
     apply_circle_function,
-    apply_hermitian_function,
-    hermitian_eig,
     operator_norm,
     random_unitary,
     top_singular_triple,
@@ -107,11 +104,8 @@ __all__ = [
     "parse_element",
     "unit",
     # linalg
-    "NonHermitianError",
     "NonUnitaryError",
     "apply_circle_function",
-    "apply_hermitian_function",
-    "hermitian_eig",
     "operator_norm",
     "random_unitary",
     "top_singular_triple",

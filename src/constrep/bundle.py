@@ -137,7 +137,7 @@ def read_curve_csv(path):
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != 5:
+        if len(parts) != 5 or parts[4] not in ("true", "false"):
             raise ValueError(f"malformed CSV row: {line!r}")
         rows.append(
             {

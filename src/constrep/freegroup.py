@@ -345,7 +345,12 @@ class _Parser:
                 raise ParseError(f"expected '+' or '-', got {self.tokens[self.index][1]!r}", self.position())
             self.next()
             sign = -1 if kind == "-" else 1
-            result = result + self.term() * sign
+            position = self.position()
+            term = self.term() * sign
+            result = result + term
+            # Finite coefficients of one word can still sum past the float range.
+            if not all(cmath.isfinite(result.terms.get(word, 0j)) for word in term.terms):
+                raise ParseError("coefficient overflow", position)
         return result
 
     # term := coeff ['*' word] | word

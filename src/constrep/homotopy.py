@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .freegroup import GroupRingElement
-from .linalg import apply_circle_function, apply_hermitian_function
+from .linalg import apply_circle_function
 
 MIN_SAMPLES = 8
 _WINDING_RESIDUAL_LIMIT = 0.01
@@ -267,8 +267,9 @@ def character_path(rep, which, t):
     ``plus_minus`` joins (1, -1) to (i, i) and ``minus_plus`` joins (-1, 1)
     to (i, i), both scalar paths over t in [0, pi/2] with identically zero
     constraint. ``fold_swap`` joins (i, i) at t = 0 to
-    (fold(V), fold(U)) at t = 1; along it the constraint value is exactly
-    t times the constraint of the original pair.
+    (fold(V), fold(U)) at t = 1 through the circle function
+    z -> -t Re z + i sqrt(1 - t^2 (Re z)^2) of V and of U; along it the
+    constraint value is exactly t times the constraint of the original pair.
     """
     d = rep.dim
     eye = np.eye(d, dtype=complex)
@@ -292,14 +293,10 @@ def character_path(rep, which, t):
             raise ValueError("parameter must lie in [0, 1]")
         if t == 0.0:
             return 1j * eye, 1j * eye
-        k_u = (rep.v + rep.v.conj().T) / 2.0
-        k_v = (rep.u + rep.u.conj().T) / 2.0
 
-        def fn(x):
+        def fn(z):
+            x = z.real
             return -t * x + 1j * np.sqrt(np.maximum(0.0, 1.0 - t * t * x * x))
 
-        return (
-            apply_hermitian_function(k_u, fn),
-            apply_hermitian_function(k_v, fn),
-        )
+        return apply_circle_function(rep.v, fn), apply_circle_function(rep.u, fn)
     raise ValueError(f"unknown path {which!r}; expected one of {CHARACTER_PATHS}")

@@ -1,10 +1,11 @@
 """Dense complex spectral kernel, on LAPACK.
 
 Provides the few linear-algebra primitives everything else is built on:
-Hermitian and unitary eigendecompositions, functional calculus on the unit
-circle and on the real line, the operator norm and the top singular triple
-(both from one SVD, so no result depends on an iteration cap), and
-Haar-random unitaries.
+:func:`unitary_eig` behind :func:`apply_circle_function`, the one functional
+calculus (every matrix function is a circle function of a unitary); ``eigh``
+behind the ascent's :func:`unitary_exponential`; ``eigvalsh`` for the
+constraint value; one SVD for the operator norm and the top singular triple,
+so no result depends on an iteration cap; and Haar-random unitaries.
 
 A unitary matrix is diagonalized through the commuting Hermitian pair
 H = (W + W*)/2 and S = (W - W*)/(2i): eigenvectors of H are refined inside
@@ -20,13 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-8
 CLUSTER_TOL = 1e-8
-
-
-class NonHermitianError(ValueError):
-    """Input matrix is not Hermitian within tolerance."""
 
 
 class NonUnitaryError(ValueError):
@@ -58,21 +54,6 @@ class SpectralDecomposition:
 
     def reconstruct(self):
         return (self.vectors * self.eigenvalues) @ self.vectors.conj().T
-
-
-def hermitian_eig(a):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Raises :class:`NonHermitianError` when the input is not Hermitian within
-    ``HERMITIAN_TOL`` relative to its size.
-    """
-    a = _as_square(a)
-    scale = float(np.linalg.norm(a))
-    defect = float(np.linalg.norm(a - a.conj().T))
-    if defect > HERMITIAN_TOL * (1.0 + scale):
-        raise NonHermitianError(f"matrix is not Hermitian (defect {defect:.3e})")
-    values, vectors = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return SpectralDecomposition(values, vectors)
 
 
 def unitary_eig(w):
@@ -126,22 +107,12 @@ def apply_circle_function(w, fn):
     return (dec.vectors * values) @ dec.vectors.conj().T
 
 
-def apply_hermitian_function(a, fn):
-    """Functional calculus g(A) for a Hermitian A and a real-spectrum function.
-
-    ``fn`` is called once, on the real array of eigenvalues, and returns g
-    elementwise.
-    """
-    dec = hermitian_eig(a)
-    values = np.asarray(fn(dec.eigenvalues), dtype=complex)
-    return (dec.vectors * values) @ dec.vectors.conj().T
-
-
 def unitary_exponential(dec, scale=1.0):
-    """exp(i * scale * H) from ``dec = hermitian_eig(H)``; unitary up to rounding.
+    """exp(i * scale * H) from ``dec``, an eigendecomposition of Hermitian H.
 
-    Taking the decomposition rather than H lets a caller that exponentiates
-    one H at several scales decompose it once.
+    ``dec`` is ``SpectralDecomposition(*np.linalg.eigh(H))``; the result is
+    unitary up to rounding. Taking the decomposition rather than H lets a
+    caller that exponentiates one H at several scales decompose it once.
     """
     phases = np.exp(1j * scale * dec.eigenvalues)
     return (dec.vectors * phases) @ dec.vectors.conj().T

@@ -497,7 +497,7 @@ def _ascend(element, mu, start, config, target=np.inf):
     # Eigendecompositions of the unit direction at ``current``; a rejected
     # proposal leaves current, left and right, hence the direction, unchanged.
     # G is (i/2)(C - C*), Hermitian to the last bit, so it goes to eigh as it
-    # is: hermitian_eig's check and symmetrization would change nothing.
+    # is, with no check or symmetrization.
     direction = None
     for k in range(1, config.max_steps + 1):
         if value >= target:

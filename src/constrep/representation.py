@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freegroup import GroupRingElement
+from .homotopy import upper_fold_matrix
 from .linalg import (
     NonUnitaryError,
     UNITARY_TOL,
     apply_circle_function,
-    apply_hermitian_function,
     haar_unitary,
     unitarity_defect,
 )
@@ -182,8 +182,8 @@ def constraint_value(rep):
     """
     x = rep.u + rep.u.conj().T + rep.v + rep.v.conj().T
     eigenvalues = np.linalg.eigvalsh(x)
-    value = max(-float(eigenvalues[0]), float(eigenvalues[-1]))
-    return min(max(value, 0.0), 4.0)
+    # max keeps its first argument on a tie, so a level-zero pair reads +0.0.
+    return min(max(0.0, float(eigenvalues[-1]), -float(eigenvalues[0])), 4.0)
 
 
 def is_constrained(rep, mu, tol=1e-8):
@@ -275,20 +275,11 @@ def random_constrained(dim, mu, seed):
 def zero_constrained_from(u):
     """Complete a unitary U to a pair with constraint value zero.
 
-    Sets K = -(U + U*)/2 and V = K + i sqrt(I - K^2), so that
-    V + V* = 2K = -(U + U*) and the constraint functional vanishes.
+    Sets V = fold(U) by functional calculus, for the circle map
+    fold(z) = -Re z + i |Im z| (:func:`~constrep.homotopy.upper_fold`), so
+    that V + V* = -(U + U*) and the constraint functional vanishes.
     """
-    u = np.asarray(u, dtype=complex)
-    if unitarity_defect(u) > UNITARY_TOL:
-        raise NonUnitaryError("input matrix is not unitary")
-    k = -(u + u.conj().T) / 2.0
-
-    def fn(x):
-        xc = np.clip(x, -1.0, 1.0)
-        return xc + 1j * np.sqrt(np.maximum(0.0, 1.0 - xc * xc))
-
-    v = apply_hermitian_function(k, fn)
-    return Representation(u, v)
+    return Representation(u, upper_fold_matrix(u))
 
 
 # --------------------------------------------------------------------------

@@ -7,23 +7,26 @@ from pathlib import Path
 
 import numpy as np
 
-from constrep.linalg import hermitian_eig
+from constrep.linalg import unitary_eig
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def loop_calculus(a, fn):
-    """g(A) for Hermitian A, calling the scalar ``fn`` once per eigenvalue."""
-    dec = hermitian_eig(a)
-    values = np.array([complex(fn(float(x))) for x in dec.eigenvalues])
+def loop_calculus(w, fn):
+    """g(W) for unitary W, calling the scalar ``fn`` once per eigenvalue."""
+    dec = unitary_eig(w)
+    values = np.array([complex(fn(complex(z))) for z in dec.eigenvalues])
     return (dec.vectors * values) @ dec.vectors.conj().T
 
 
 def run_python(*args, cwd=None):
-    """Run ``python *args`` in a child process that imports constrep from src."""
+    """Run ``python *args`` in a child process that imports constrep from src.
+
+    The child turns RuntimeWarnings into errors, as pytest does in-process.
+    """
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args],
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
         capture_output=True,
         text=True,
         cwd=cwd,

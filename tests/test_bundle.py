@@ -120,6 +120,9 @@ def test_read_curve_csv_rejects_bad_header(tmp_path):
     path.write_text(bundle.CSV_HEADER + "\n1,2,3\n")
     with pytest.raises(ValueError):
         bundle.read_curve_csv(path)
+    path.write_text(bundle.CSV_HEADER + "\n0,2,1,1,yes\n")
+    with pytest.raises(ValueError, match="0,2,1,1,yes"):
+        bundle.read_curve_csv(path)
 
 
 def test_svg_rendering_is_deterministic(tmp_path):

@@ -69,6 +69,7 @@ def test_estimate_is_byte_deterministic():
         ("estimate", "-e", "u", "-m", "1", "--oracle-grid", "720"),
         ("estimate", "-e", "u^" + "9" * 5000, "-m", "1"),
         ("estimate", "-e", "1e400*u", "-m", "1"),
+        ("estimate", "-e", "1e308*u + 1e308*u", "-m", "1"),
     ],
 )
 def test_usage_errors_exit_two(args):
@@ -129,6 +130,13 @@ def test_rep_gen_writes_loadable_pair(tmp_path):
     result2 = run_cli("rep-gen", "-d", "3", "-m", "2", "--seed", "5", "-o", str(again))
     assert result2.returncode == 0
     assert out.read_text() == again.read_text()
+
+
+def test_rep_gen_at_level_zero_prints_positive_zero(tmp_path):
+    out = tmp_path / "pair.json"
+    result = run_cli("rep-gen", "-d", "3", "-m", "0", "--seed", "2", "-o", str(out))
+    assert result.returncode == 0
+    assert result.stdout == "wrote %s dim=3 constraint=0\n" % out
 
 
 def test_kesten_table():

@@ -158,6 +158,8 @@ def test_parse_error_carries_position():
         ("u + " + "1" * 400 + "*v", 4),
         ("u - (1e400+0i)*v", 4),
         ("2 + 1e400i*v", 4),
+        ("1e308*u + 1e308*u", 10),  # finite coefficients whose sum overflows
+        ("-1e308i - 1e308i", 10),
     ]:
         with pytest.raises(ParseError) as info:
             parse_element(text)

@@ -5,11 +5,9 @@ import pytest
 import scipy.linalg
 
 from constrep.linalg import (
-    NonHermitianError,
     NonUnitaryError,
+    SpectralDecomposition,
     apply_circle_function,
-    apply_hermitian_function,
-    hermitian_eig,
     operator_norm,
     random_unitary,
     top_singular_triple,
@@ -23,19 +21,6 @@ from constrep.representation import Representation, constraint_value
 def _random_complex(dim, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
-
-def test_hermitian_eig_reconstructs():
-    a = _random_complex(6, 0)
-    h = a + a.conj().T
-    decomp = hermitian_eig(h)
-    assert np.all(np.diff(decomp.eigenvalues) >= 0)
-    assert np.max(np.abs(decomp.reconstruct() - h)) < 1e-12
-
-
-def test_hermitian_eig_rejects_nonhermitian():
-    with pytest.raises(NonHermitianError):
-        hermitian_eig(_random_complex(4, 1))
 
 
 def test_unitary_eig_recovers_known_spectrum():
@@ -153,21 +138,15 @@ def test_apply_circle_function_identity_and_square():
     assert np.max(np.abs(apply_circle_function(w, lambda z: z * z) - w @ w)) < 1e-11
 
 
-def test_apply_hermitian_function_square():
-    a = _random_complex(5, 4)
-    h = (a + a.conj().T) / 2.0
-    got = apply_hermitian_function(h, lambda x: x * x)
-    assert np.max(np.abs(got - h @ h)) < 1e-11
-
-
 def test_unitary_exponential_matches_expm():
     a = _random_complex(4, 5)
     h = (a + a.conj().T) / 2.0
+    dec = SpectralDecomposition(*np.linalg.eigh(h))
     for scale in (0.0, 0.37, -1.2):
-        got = unitary_exponential(hermitian_eig(h), scale)
+        got = unitary_exponential(dec, scale)
         want = scipy.linalg.expm(1j * scale * h)
         assert np.max(np.abs(got - want)) < 1e-10
-    assert np.max(np.abs(unitary_exponential(hermitian_eig(h), 0.0) - np.eye(4))) < 1e-12
+    assert np.max(np.abs(unitary_exponential(dec, 0.0) - np.eye(4))) < 1e-12
 
 
 def test_random_unitary_is_deterministic():

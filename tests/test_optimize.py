@@ -18,7 +18,7 @@ from constrep.freegroup import (
 )
 from constrep.linalg import (
     NonUnitaryError,
-    hermitian_eig,
+    SpectralDecomposition,
     operator_norm,
     unitary_exponential,
 )
@@ -103,6 +103,11 @@ def _long_word_element(seed):
     return element
 
 
+def _exponential(h, scale):
+    """exp(i * scale * H) for Hermitian H, decomposed as the ascent does."""
+    return unitary_exponential(SpectralDecomposition(*np.linalg.eigh(h)), scale)
+
+
 def _check_gradient_by_finite_differences(element, rep, eps=1e-6):
     _, left, right, tables = optimize._objective(element, rep)
     g_u, g_v = optimize._subgradient(element, rep, left, right, tables)
@@ -120,8 +125,8 @@ def _check_gradient_by_finite_differences(element, rep, eps=1e-6):
 
         def shifted(sign):
             moved = Representation(
-                unitary_exponential(hermitian_eig(h_u), sign * eps) @ rep.u,
-                unitary_exponential(hermitian_eig(h_v), sign * eps) @ rep.v,
+                _exponential(h_u, sign * eps) @ rep.u,
+                _exponential(h_v, sign * eps) @ rep.v,
             )
             return optimize._objective(element, moved)[0]
 
@@ -176,8 +181,8 @@ def _reference_ascent(element, mu, start, config):
             steps, converged = k, True
             break
         proposal = Representation._unchecked(
-            unitary_exponential(hermitian_eig(g_u / scale), step) @ current.u,
-            unitary_exponential(hermitian_eig(g_v / scale), step) @ current.v,
+            _exponential(g_u / scale, step) @ current.u,
+            _exponential(g_v / scale, step) @ current.v,
         )
         proposal = retract_to(proposal, mu)
         new_value, new_left, new_right, new_tables = optimize._objective(element, proposal)

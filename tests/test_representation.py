@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from constrep.freegroup import averaging_element, generator, parse_element
+from constrep.homotopy import upper_fold_matrix
 from constrep.linalg import NonUnitaryError, random_unitary, unitarity_defect
 from constrep.representation import (
     Representation,
@@ -28,6 +29,10 @@ from constrep.representation import (
 
 def _sum_matrix(rep):
     return rep.u + rep.u.conj().T + rep.v + rep.v.conj().T
+
+
+def _is_positive_zero(value):
+    return value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_validation_rejects_bad_pairs():
@@ -206,29 +211,30 @@ def test_retract_to_zero_gives_anticommuting_sums():
 def test_retract_to_zero_lands_exactly_on_zero(dim):
     for seed in range(200):
         pulled = retract_to(random_constrained(dim, 4.0, seed=seed), 0.0)
-        assert constraint_value(pulled) == 0.0
+        assert _is_positive_zero(constraint_value(pulled))
         assert np.array_equal(_sum_matrix(pulled), np.zeros((dim, dim)))
 
 
-def test_zero_constrained_identity_input():
-    rep = zero_constrained_from(np.eye(3, dtype=complex))
-    assert np.max(np.abs(rep.v + np.eye(3))) < 1e-12
-
-
-def test_zero_constrained_purely_imaginary_input():
-    rep = zero_constrained_from(1j * np.eye(3, dtype=complex))
-    assert np.max(np.abs(rep.v - 1j * np.eye(3))) < 1e-12
+@pytest.mark.parametrize(
+    "spectrum",
+    [[1, 1, 1], [-1, -1, -1], [1j, 1j, 1j], [-1j, -1j, -1j], [1, -1, 1j, -1j], [1], [-1]],
+    ids=["I3", "-I3", "iI3", "-iI3", "diag(1,-1,i,-i)", "1", "-1"],
+)
+def test_zero_constrained_edge_spectra(spectrum):
+    z = np.array(spectrum, dtype=complex)
+    rep = zero_constrained_from(np.diag(z))
+    assert np.array_equal(_sum_matrix(rep), np.zeros((len(z), len(z))))
+    assert _is_positive_zero(constraint_value(rep))
+    assert np.array_equal(rep.v, np.diag(-z.real + 1j * np.abs(z.imag)))
 
 
 def test_zero_constrained_matches_the_scalar_loop():
-    def scalar(x):
-        xc = min(1.0, max(-1.0, x))
-        return complex(xc, math.sqrt(max(0.0, 1.0 - xc * xc)))
+    def scalar(z):
+        return complex(-z.real, abs(z.imag))
 
     for seed in range(4):
         u = random_unitary(2 + seed, seed=seed)
-        want = loop_calculus(-(u + u.conj().T) / 2.0, scalar)
-        assert np.array_equal(zero_constrained_from(u).v, want)
+        assert np.array_equal(zero_constrained_from(u).v, loop_calculus(u, scalar))
 
 
 def test_zero_constrained_random_inputs():
@@ -238,6 +244,7 @@ def test_zero_constrained_random_inputs():
         assert unitarity_defect(rep.v) < 1e-9
         assert constraint_value(rep) < 1e-9
         assert np.array_equal(rep.u, u)
+        assert rep.v.tobytes() == upper_fold_matrix(u).tobytes()
 
 
 def test_random_constrained_is_deterministic_and_feasible():
