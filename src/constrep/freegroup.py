@@ -338,7 +338,10 @@ class _Parser:
         sign = 1
         if self.peek() in ("+", "-"):
             sign = -1 if self.next()[0] == "-" else 1
-        result = self.term() * sign
+        # The terms are merged into one dict as repeated ``+`` would merge
+        # them: a word keeps its first place, and a sum that is exactly zero
+        # is dropped, so a later term of that word goes to the end.
+        terms = dict((self.term() * sign).terms)
         while self.peek() is not None:
             kind = self.peek()
             if kind not in ("+", "-"):
@@ -346,12 +349,16 @@ class _Parser:
             self.next()
             sign = -1 if kind == "-" else 1
             position = self.position()
-            term = self.term() * sign
-            result = result + term
-            # Finite coefficients of one word can still sum past the float range.
-            if not all(cmath.isfinite(result.terms.get(word, 0j)) for word in term.terms):
-                raise ParseError("coefficient overflow", position)
-        return result
+            for word, coeff in (self.term() * sign).terms.items():
+                total = terms.get(word, 0j) + coeff
+                # Finite coefficients of one word can still sum past the float range.
+                if not cmath.isfinite(total):
+                    raise ParseError("coefficient overflow", position)
+                if total != 0:
+                    terms[word] = total
+                else:
+                    del terms[word]
+        return GroupRingElement(terms)
 
     # term := coeff ['*' word] | word
     def term(self):

@@ -29,10 +29,24 @@ iterate stays feasible. Only improving proposals are accepted and the step
 size decays geometrically. The direction depends only on the current pair,
 so it and the eigendecompositions of G/||G|| are computed once per accepted
 point and reused, at a shorter step, after each rejected proposal.
+
+A 1-dimensional start ascends on the torus of characters instead: the pair
+is two unit scalars (z_u, z_v) = (e^(i theta), e^(i phi)), a word with
+generator sums (p, q) acts as z_u^p z_v^q, and the value is |f| for
+f = sum c z_u^p z_v^q over the (p, q, coeff) triples the oracle grid is built
+from. The direction is the gradient Re(conj(f) i sum c (p, q) z_u^p z_v^q)/|f|
+of |f| in (theta, phi), a step multiplies each scalar by e^(i step g), and
+the retraction applies the deformation circle map to both scalars at the
+level ``constraint_value`` computes for the 1 x 1 pair. This is the matrix
+ascent at d = 1 in scalar arithmetic, O(terms) per step whatever the word
+lengths; the loop and its step, stall and target rules are shared, and the
+start's value and the value of a moved witness are still computed on the
+matrix pair, so a reported value is the recomputed norm of its witness.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -44,6 +58,7 @@ from .freegroup import GroupRingElement
 from .representation import (
     Representation,
     check_mu,
+    deformation_function,
     evaluate,
     letter_images,
     power_tables,
@@ -185,6 +200,16 @@ class NormCurve:
 # --------------------------------------------------------------------------
 
 
+def _torus_terms(element):
+    """(p, q, coeff) per term in canonical order, (p, q) the word's generator sums.
+
+    The character u -> e^(i theta), v -> e^(i phi) sends the word to
+    e^(i (p theta + q phi)); the oracle grid and the torus ascent both read
+    an element through these triples.
+    """
+    return tuple((*word.generator_sums(), coeff) for word, coeff in element.sorted_terms())
+
+
 @functools.cache
 def _oracle_axes():
     """(theta, order, theta[order], c[order]) for c = 2cos(theta), order ascending in c.
@@ -212,7 +237,7 @@ def _oracle_grid(element):
     grid-sized memory.
     """
     global _oracle_slot, _oracle_magnitude
-    key = tuple((*word.generator_sums(), coeff) for word, coeff in element.sorted_terms())
+    key = _torus_terms(element)
     if _oracle_slot is not None and _oracle_slot[0] == key:
         return _oracle_slot[1], _oracle_slot[2]
     _oracle_slot = None  # the grid below is overwritten in place
@@ -479,6 +504,106 @@ def _subgradient(element, rep, left, right, tables):
     return direction("u"), direction("v")
 
 
+def _matrix_moves(element, mu):
+    """(score, direction, propose) of the ascent on pairs of d x d unitaries.
+
+    score(pair) is (value, point) with point = (pair, left, right, tables);
+    direction(point) is the eigendecompositions of G_u/s and G_v/s, or None
+    when s = ||(G_u, G_v)|| is below the floor; propose(point, direction,
+    step) is the pair (exp(i step G_u/s) U, exp(i step G_v/s) V), retracted.
+    """
+
+    def score(rep):
+        value, left, right, tables = _objective(element, rep)
+        return value, (rep, left, right, tables)
+
+    def direction(point):
+        g_u, g_v = _subgradient(element, *point)
+        scale = float(np.sqrt(np.linalg.norm(g_u) ** 2 + np.linalg.norm(g_v) ** 2))
+        if scale < _GRADIENT_FLOOR:
+            return None
+        # G is (i/2)(C - C*), Hermitian to the last bit, so it goes to eigh
+        # as it is, with no check or symmetrization.
+        return (
+            SpectralDecomposition(*np.linalg.eigh(g_u / scale)),
+            SpectralDecomposition(*np.linalg.eigh(g_v / scale)),
+        )
+
+    def propose(point, direction, step):
+        rep, (dec_u, dec_v) = point[0], direction
+        # Products of unitaries: validated once, on the estimate's witness.
+        proposal = Representation._unchecked(
+            unitary_exponential(dec_u, step) @ rep.u,
+            unitary_exponential(dec_v, step) @ rep.v,
+        )
+        return retract_to(proposal, mu)
+
+    return score, direction, propose
+
+
+def _torus_objective(terms, z_u, z_v):
+    """(|f|, point) at the character (z_u, z_v), f = sum c z_u^p z_v^q over ``terms``.
+
+    The point (z_u, z_v, f, waves) keeps each term's c z_u^p z_v^q for
+    :func:`_torus_gradient`.
+    """
+    waves = [c * z_u**p * z_v**q for p, q, c in terms]
+    f = sum(waves)
+    return abs(f), (z_u, z_v, f, waves)
+
+
+def _torus_gradient(terms, point):
+    """(d|f|/dtheta, d|f|/dphi) = Re(conj(f) i sum c (p, q) z_u^p z_v^q) / |f|.
+
+    This is :func:`_subgradient` of the 1 x 1 pair; where f = 0, which has
+    no gradient, it is (0, 0).
+    """
+    _, _, f, waves = point
+    size = abs(f)
+    if size == 0.0:
+        return 0.0, 0.0
+    turn = 1j * f.conjugate()
+    g_u = (turn * sum(p * w for (p, _, _), w in zip(terms, waves))).real / size
+    g_v = (turn * sum(q * w for (_, q, _), w in zip(terms, waves))).real / size
+    return g_u, g_v
+
+
+def _torus_level(z_u, z_v):
+    """``constraint_value`` of the 1 x 1 pair, by the same arithmetic: the
+    sum U + U* + V + V* is the real x below, and eigvalsh returns it."""
+    x = ((z_u.real + z_u.real) + z_v.real) + z_v.real
+    return min(max(0.0, x, -x), 4.0)
+
+
+def _torus_moves(element, mu):
+    """(score, direction, propose) of the ascent on 1-dimensional pairs, as
+    :func:`_matrix_moves` computes them at d = 1, in scalar arithmetic.
+
+    A pair is (z_u, z_v); a point is :func:`_torus_objective`'s.
+    """
+    terms = _torus_terms(element)
+
+    def score(pair):
+        return _torus_objective(terms, *pair)
+
+    def direction(point):
+        g_u, g_v = _torus_gradient(terms, point)
+        scale = math.sqrt(g_u * g_u + g_v * g_v)
+        if scale < _GRADIENT_FLOOR:
+            return None
+        return g_u / scale, g_v / scale
+
+    def propose(point, direction, step):
+        z_u = point[0] * cmath.rect(1.0, step * direction[0])
+        z_v = point[1] * cmath.rect(1.0, step * direction[1])
+        m = _torus_level(z_u, z_v)
+        if m <= mu:
+            return z_u, z_v
+        return tuple(deformation_function(1.0 - mu / m)(np.array([z_u, z_v])).tolist())
+
+    return score, direction, propose
+
+
 def _ascend(element, mu, start, config, target=np.inf):
     """Projected subgradient ascent from one feasible start.
 
@@ -487,43 +612,39 @@ def _ascend(element, mu, start, config, target=np.inf):
     -inf scores the start without a step. Convergence means the target was
     reached, the trailing 25-iteration window improved the value by less
     than the stall tolerance, or the gradient vanished.
+
+    A 1-dimensional start steps on the torus (:func:`_torus_moves`); its
+    returned value is the matrix objective of the start or, if it moved and
+    that is not lower, of the moved pair.
     """
-    current = start
-    value, left, right, tables = _objective(element, current)
+    start_value, left, right, tables = _objective(element, start)
+    if start_value >= target:
+        return start_value, start, 0, True
+    if start.dim == 1:
+        score, direction_at, propose = _torus_moves(element, mu)
+        value, point = score((complex(start.u[0, 0]), complex(start.v[0, 0])))
+    else:
+        score, direction_at, propose = _matrix_moves(element, mu)
+        value, point = start_value, (start, left, right, tables)
+    origin = point
     history = [value]
     step = config.initial_step
     converged = False
     steps = 0
-    # Eigendecompositions of the unit direction at ``current``; a rejected
-    # proposal leaves current, left and right, hence the direction, unchanged.
-    # G is (i/2)(C - C*), Hermitian to the last bit, so it goes to eigh as it
-    # is, with no check or symmetrization.
+    # The direction depends only on the point; a rejected proposal keeps it.
     direction = None
     for k in range(1, config.max_steps + 1):
         if value >= target:
             break
         if direction is None:
-            g_u, g_v = _subgradient(element, current, left, right, tables)
-            scale = float(np.sqrt(np.linalg.norm(g_u) ** 2 + np.linalg.norm(g_v) ** 2))
-            if scale < _GRADIENT_FLOOR:
+            direction = direction_at(point)
+            if direction is None:
                 steps = k
                 converged = True
                 break
-            direction = (
-                SpectralDecomposition(*np.linalg.eigh(g_u / scale)),
-                SpectralDecomposition(*np.linalg.eigh(g_v / scale)),
-            )
-        dec_u, dec_v = direction
-        # Products of unitaries: validated once, on the estimate's witness.
-        proposal = Representation._unchecked(
-            unitary_exponential(dec_u, step) @ current.u,
-            unitary_exponential(dec_v, step) @ current.v,
-        )
-        proposal = retract_to(proposal, mu)
-        new_value, new_left, new_right, new_tables = _objective(element, proposal)
+        new_value, new_point = score(propose(point, direction, step))
         if new_value > value:
-            current, value = proposal, new_value
-            left, right, tables = new_left, new_right, new_tables
+            point, value = new_point, new_value
             direction = None
         steps = k
         step *= config.step_decay
@@ -532,7 +653,16 @@ def _ascend(element, mu, start, config, target=np.inf):
             if history[-1] - history[-1 - _STALL_WINDOW] < config.stall_tolerance:
                 converged = True
                 break
-    return value, current, steps, converged or value >= target
+    converged = converged or value >= target
+    if start.dim > 1:
+        return value, point[0], steps, converged
+    if point is not origin:
+        # Scalars of modulus 1 up to rounding: estimate_norm checks its witness.
+        witness = Representation._unchecked(np.array([[point[0]]]), np.array([[point[1]]]))
+        value = _objective(element, witness)[0]
+        if value >= start_value:
+            return value, witness, steps, converged
+    return start_value, start, steps, converged
 
 
 def _candidate_starts(element, mu, config, pool):

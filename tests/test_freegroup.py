@@ -1,5 +1,6 @@
 """Words, group-ring arithmetic, parsing, and canonical printing."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -165,6 +166,46 @@ def test_parse_error_carries_position():
             parse_element(text)
         assert info.value.position == position, text
     assert parse_element("u^" + "0" * 5000 + "7") == parse_element("u^7")
+
+
+def test_parse_merges_terms_as_repeated_addition():
+    """Equal to adding the terms one by one: the same words in the same dict
+    order, the same coefficient bits, zero sums dropped, and an overflowing
+    merge reported at its term."""
+    pieces = ["u", "2*v", "0*u", "(0-0i)*u", "(1-0i)*u", "0.5i*v", "u^-1*v^2", "1", "(0.25-3i)*u"]
+    rng = random.Random(11)
+    for _ in range(300):
+        parts = [rng.choice(pieces) for _ in range(rng.randint(1, 9))]
+        signs = [rng.choice("+-") for _ in parts]
+        expected = parse_element(parts[0]) * (-1 if signs[0] == "-" else 1)
+        for sign, part in zip(signs[1:], parts[1:]):
+            expected = expected + parse_element(part) * (-1 if sign == "-" else 1)
+        text = " ".join(f"{sign} {part}" for sign, part in zip(signs, parts))
+        got = parse_element(text)
+        assert [(w, repr(c)) for w, c in got.terms.items()] == [
+            (w, repr(c)) for w, c in expected.terms.items()
+        ], text
+    assert list(parse_element("u + v - u + u").terms) == [Word([("v", 1)]), Word([("u", 1)])]
+    with pytest.raises(ParseError) as info:
+        parse_element("u + 1e308*v - u + 1e308*v")
+    assert info.value.position == 18
+
+
+def test_parse_builds_each_term_once(monkeypatch):
+    # Adding term by term copied every earlier term at every step.
+    sizes = []
+    init = GroupRingElement.__init__
+
+    def counting(self, terms=None):
+        sizes.append(len(terms or ()))
+        init(self, terms)
+
+    monkeypatch.setattr(GroupRingElement, "__init__", counting)
+    for n in (10, 100, 2000):
+        sizes.clear()
+        element = parse_element(" + ".join(f"{k}*u^{k}*v" for k in range(1, n + 1)))
+        assert len(element.terms) == n
+        assert sum(sizes) <= 4 * n
 
 
 def test_format_canonical_order():

@@ -1,5 +1,6 @@
 """Constrained norm estimation: oracles, brackets, ascent, determinism, curves."""
 
+import cmath
 import itertools
 import math
 import tracemalloc
@@ -33,6 +34,7 @@ from constrep.optimize import (
 from constrep.representation import (
     Representation,
     constraint_value,
+    deformation_function,
     evaluate,
     letter_images,
     one_dim_rep,
@@ -200,17 +202,64 @@ def _reference_ascent(element, mu, start, config):
     return (value, current, steps, converged), rejected
 
 
+def _scalar_pair(z_u, z_v):
+    """The 1 x 1 pair of two unit scalars, unchecked as the ascent builds it."""
+    return Representation._unchecked(np.array([[z_u]]), np.array([[z_v]]))
+
+
+def _reference_torus_ascent(element, mu, start, config):
+    """The torus ascent with its direction recomputed on every step and each
+    proposal's level taken from ``constraint_value`` of the 1 x 1 pair;
+    returns _ascend's 4-tuple and the number of rejected proposals."""
+    terms = optimize._torus_terms(element)
+    start_value = optimize._objective(element, start)[0]
+    value, point = optimize._torus_objective(terms, complex(start.u[0, 0]), complex(start.v[0, 0]))
+    history = [value]
+    step = config.initial_step
+    steps, converged, rejected, moved = 0, False, 0, False
+    for k in range(1, config.max_steps + 1):
+        g_u, g_v = optimize._torus_gradient(terms, point)
+        scale = math.sqrt(g_u * g_u + g_v * g_v)
+        if scale < optimize._GRADIENT_FLOOR:
+            steps, converged = k, True
+            break
+        z_u = point[0] * cmath.rect(1.0, step * (g_u / scale))
+        z_v = point[1] * cmath.rect(1.0, step * (g_v / scale))
+        m = constraint_value(_scalar_pair(z_u, z_v))
+        if m > mu:
+            z_u, z_v = deformation_function(1.0 - mu / m)(np.array([z_u, z_v])).tolist()
+        new_value, new_point = optimize._torus_objective(terms, z_u, z_v)
+        if new_value > value:
+            point, value, moved = new_point, new_value, True
+        else:
+            rejected += 1
+        steps = k
+        step *= config.step_decay
+        history.append(value)
+        if len(history) > 25 and history[-1] - history[-26] < config.stall_tolerance:
+            converged = True
+            break
+    if moved:
+        pair = _scalar_pair(point[0], point[1])
+        value = optimize._objective(element, pair)[0]
+        if value >= start_value:
+            return (value, pair, steps, converged), rejected
+    return (start_value, start, steps, converged), rejected
+
+
 @pytest.mark.parametrize("dim", [1, 2, 4], ids="d{}".format)
 @pytest.mark.parametrize("initial_step", [0.1, 0.3], ids="step{}".format)
 @pytest.mark.parametrize("kind", ["long", "short"])
 def test_ascent_matches_per_step_direction_bit_for_bit(kind, initial_step, dim):
+    # d = 1 ascends on the torus, d >= 2 on the unitary group.
+    reference = _reference_torus_ascent if dim == 1 else _reference_ascent
     if kind == "long":
         element = _long_word_element(1)
     else:
         element = parse_element("u + i*v - u*v^-1")
     config = OptimizerConfig(max_steps=60, initial_step=initial_step)
     start = random_constrained(dim, 2.5, seed=10 + dim)
-    (value, witness, steps, converged), rejected = _reference_ascent(
+    (value, witness, steps, converged), rejected = reference(
         element, 2.5, start, config
     )
     got = optimize._ascend(element, 2.5, start, config)
@@ -221,6 +270,61 @@ def test_ascent_matches_per_step_direction_bit_for_bit(kind, initial_step, dim):
     assert got[1].v.tobytes() == witness.v.tobytes()
     if kind == "long" and initial_step == 0.3:
         assert 2 * rejected >= steps  # mostly rejected proposals
+
+
+def _one_dim_starts():
+    """(element, mu, start, initial step): the oracle start and two Haar
+    starts of 12 seeded elements, and the bit-for-bit test's d = 1 cases."""
+    config = OptimizerConfig(dims=(1,), restarts=2)
+    cases = []
+    for seed in range(12):
+        element = _syllable_element(np.random.default_rng(seed))
+        mu = (0.5, 1.5, 2.5, 3.5)[seed % 4]
+        for start in optimize._candidate_starts(element, mu, config, ()):
+            cases.append((element, mu, start, (0.1, 0.3)[len(cases) % 2]))
+    start = random_constrained(1, 2.5, seed=11)
+    for element in (_long_word_element(1), parse_element("u + i*v - u*v^-1")):
+        cases += [(element, 2.5, start, 0.1), (element, 2.5, start, 0.3)]
+    return cases
+
+
+def test_torus_ascent_matches_the_matrix_ascent():
+    """The same steps and stopping rule; values and witnesses to rounding."""
+    moved = 0
+    for element, mu, start, initial_step in _one_dim_starts():
+        config = OptimizerConfig(max_steps=60, initial_step=initial_step)
+        (value, witness, steps, converged), _ = _reference_ascent(element, mu, start, config)
+        got = optimize._ascend(element, mu, start, config)
+        assert got[2] == steps
+        assert got[3] == converged
+        assert abs(got[0] - value) <= 1e-12 * max(1.0, value)
+        assert abs(got[1].u[0, 0] - witness.u[0, 0]) <= 1e-12
+        assert abs(got[1].v[0, 0] - witness.v[0, 0]) <= 1e-12
+        moved += got[1] is not start
+    assert moved >= 20
+
+
+def _check_one_direction_per_accepted_point(events, steps):
+    """``events``: ("value", point, value) and ("direction", point, None) in
+    call order, the start's value first. Returns the last accepted point and
+    its value."""
+    kind, current, best = events[0]
+    assert kind == "value"
+    stale, directions, accepted = True, 0, 0
+    for kind, point, new_value in events[1:]:
+        if kind == "direction":
+            # Only at a newly accepted point, so never twice on one point.
+            assert stale and point is current
+            stale = False
+            directions += 1
+        else:
+            assert not stale
+            if new_value > best:
+                current, best, stale = point, new_value, True
+                accepted += 1
+    assert directions == 1 + accepted - stale
+    assert 2 * (steps - accepted) >= steps
+    return current, best
 
 
 def test_ascent_computes_direction_once_per_accepted_point(monkeypatch):
@@ -240,27 +344,123 @@ def test_ascent_computes_direction_once_per_accepted_point(monkeypatch):
     monkeypatch.setattr(optimize, "_objective", logged_objective)
     element = _long_word_element(1)
     config = OptimizerConfig(max_steps=60, initial_step=0.3)
-    for dim in (1, 2, 4):
+    for dim in (2, 4):
         events.clear()
         start = random_constrained(dim, 2.5, seed=10 + dim)
         value, witness, steps, _ = optimize._ascend(element, 2.5, start, config)
-        kind, current, best = events[0]
-        assert kind == "value" and current is start
-        stale, directions, accepted = True, 0, 0
-        for kind, rep, new_value in events[1:]:
-            if kind == "direction":
-                # Only at a newly accepted pair, so never twice on one pair.
-                assert stale and rep is current
-                stale = False
-                directions += 1
-            else:
-                assert not stale
-                if new_value > best:
-                    current, best, stale = rep, new_value, True
-                    accepted += 1
+        assert events[0][1] is start
+        current, best = _check_one_direction_per_accepted_point(events, steps)
         assert current is witness and best == value
-        assert directions == 1 + accepted - stale
-        assert 2 * (steps - accepted) >= steps
+
+
+def test_torus_ascent_computes_direction_once_per_accepted_point(monkeypatch):
+    gradient, objective = optimize._torus_gradient, optimize._torus_objective
+    events = []
+
+    def logged_gradient(terms, point):
+        events.append(("direction", point, None))
+        return gradient(terms, point)
+
+    def logged_objective(terms, z_u, z_v):
+        result = objective(terms, z_u, z_v)
+        events.append(("value", result[1], result[0]))
+        return result
+
+    monkeypatch.setattr(optimize, "_torus_gradient", logged_gradient)
+    monkeypatch.setattr(optimize, "_torus_objective", logged_objective)
+    element = _long_word_element(1)
+    config = OptimizerConfig(max_steps=60, initial_step=0.3)
+    start = random_constrained(1, 2.5, seed=11)
+    value, witness, steps, _ = optimize._ascend(element, 2.5, start, config)
+    assert events[0][1][:2] == (start.u[0, 0], start.v[0, 0])
+    current, best = _check_one_direction_per_accepted_point(events, steps)
+    assert (witness.u[0, 0], witness.v[0, 0]) == current[:2]
+    assert abs(best - value) <= 1e-12 * value
+
+
+def test_torus_gradient_is_the_subgradient_of_the_scalar_pair():
+    # A syllable of 65536 letters amplifies rounding in both computations.
+    cases = [(_long_word_element(0), 1e-12), (_long_word_element(1), 1e-12)]
+    cases.append((parse_element("u^65536*v^-65536 + u"), 1e-9))
+    for element, tol in cases:
+        terms = optimize._torus_terms(element)
+        for seed in range(10):
+            rep = random_constrained(1, 4.0, seed=(seed, 1))
+            _, left, right, tables = optimize._objective(element, rep)
+            g_u, g_v = optimize._subgradient(element, rep, left, right, tables)
+            want = np.array([g_u[0, 0].real, g_v[0, 0].real])
+            _, point = optimize._torus_objective(terms, complex(rep.u[0, 0]), complex(rep.v[0, 0]))
+            got = np.array(optimize._torus_gradient(terms, point))
+            assert np.max(np.abs(got - want)) <= tol * np.linalg.norm(want)
+
+
+def test_torus_level_is_the_constraint_value_bit_for_bit():
+    rng = np.random.default_rng(12)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=(1000, 2))
+    antidiagonal = 0
+    for k, (theta, phi) in enumerate(angles):
+        z_u = cmath.rect(1.0, theta)
+        if k % 4 == 0:
+            z_v = -z_u.conjugate()  # the oracle's exact level-zero start
+            antidiagonal += 1
+        elif k % 4 == 1:
+            z_v = complex(random_constrained(1, phi / 2.0, seed=k).v[0, 0])
+        else:
+            z_v = cmath.rect(1.0, phi)
+        level = optimize._torus_level(z_u, z_v)
+        want = constraint_value(_scalar_pair(z_u, z_v))
+        assert np.float64(level).tobytes() == np.float64(want).tobytes()
+    assert antidiagonal == 250
+
+
+def test_torus_retraction_at_level_zero_lands_on_positive_zero():
+    _, _, propose = optimize._torus_moves(parse_element("u + 2*v"), 0.0)
+    for seed in range(50):
+        start = random_constrained(1, 4.0, seed=seed)
+        point = (complex(start.u[0, 0]), complex(start.v[0, 0]))
+        z_u, z_v = propose(point, (0.6, 0.8), 0.1)
+        for level in (optimize._torus_level(z_u, z_v), constraint_value(_scalar_pair(z_u, z_v))):
+            assert level == 0.0 and math.copysign(1.0, level) == 1.0
+        assert abs(z_u.imag) == abs(z_v.imag) == 1.0
+
+
+def test_torus_ascent_stops_where_the_scalar_image_vanishes():
+    element = parse_element("u*v - v*u")  # 0 at every 1-dimensional pair
+    start = random_constrained(1, 2.0, seed=3)
+    config = OptimizerConfig(max_steps=60)
+    (value, _, steps, converged), _ = _reference_ascent(element, 2.0, start, config)
+    assert (value, steps, converged) == (0.0, 1, True)
+    assert optimize._ascend(element, 2.0, start, config) == (0.0, start, 1, True)
+
+
+def test_one_dimensional_winner_is_its_recomputed_norm():
+    config = OptimizerConfig(dims=(1,), restarts=2, max_steps=60)
+    stepped = 0
+    for seed in range(12):
+        element = _syllable_element(np.random.default_rng(seed))
+        result = estimate_norm(element, (0.5, 1.5, 2.5, 3.5)[seed % 4], config)
+        assert result.dim_used == 1
+        assert operator_norm(evaluate(result.witness, element)) == result.value
+        stepped += result.steps > 0
+    assert stepped >= 6
+
+
+def test_torus_ascent_of_a_long_word_skips_the_matrix_walk(monkeypatch):
+    calls = {"_objective": 0, "_subgradient": 0}
+    for name in calls:
+        original = getattr(optimize, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(optimize, name, counted)
+    element = parse_element("u^65536*v^-65536 + u")
+    start = random_constrained(1, 2.0, seed=4)
+    value, witness, steps, converged = optimize._ascend(element, 2.0, start, OptimizerConfig(max_steps=20))
+    assert steps == 20 and not converged and witness is not start
+    assert calls["_subgradient"] == 0
+    assert calls["_objective"] <= 2
 
 
 def test_estimate_rejects_zero_element():
