@@ -114,7 +114,10 @@ def _add_optimizer_flags(parser):
         "--initial-step", type=float, default=None, help="first ascent step size"
     )
     parser.add_argument(
-        "--step-decay", type=float, default=None, help="per-step geometric decay"
+        "--step-decay",
+        type=float,
+        default=None,
+        help="per-step geometric decay of starts of dimension >= 2",
     )
     parser.add_argument(
         "--stall-tolerance",

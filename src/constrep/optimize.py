@@ -25,10 +25,11 @@ t <= 64, that the objective builds once per pair; a syllable longer than t
 takes one such step per t letters, so neither time nor memory grows letter
 by letter. Steps multiply on the left by
 exp(i * step * G/||G||) and are followed by the exact retraction, so every
-iterate stays feasible. Only improving proposals are accepted and the step
-size decays geometrically. The direction depends only on the current pair,
-so it and the eigendecompositions of G/||G|| are computed once per accepted
-point and reused, at a shorter step, after each rejected proposal.
+iterate stays feasible. Only improving proposals are accepted, and at
+d >= 2 the step size decays geometrically, by ``step_decay`` after every
+proposal. The direction depends only on the current pair, so it and the
+eigendecompositions of G/||G|| are computed once per accepted point and
+reused, at a shorter step, after each rejected proposal.
 
 A 1-dimensional start ascends on the torus of characters instead: the pair
 is two unit scalars (z_u, z_v) = (e^(i theta), e^(i phi)), a word with
@@ -39,9 +40,13 @@ of |f| in (theta, phi), a step multiplies each scalar by e^(i step g), and
 the retraction applies the deformation circle map to both scalars at the
 level ``constraint_value`` computes for the 1 x 1 pair. This is the matrix
 ascent at d = 1 in scalar arithmetic, O(terms) per step whatever the word
-lengths; the loop and its step, stall and target rules are shared, and the
-start's value and the value of a moved witness are still computed on the
-matrix pair, so a reported value is the recomputed norm of its witness.
+lengths. Its step grows 1.5x after an accepted proposal, up to
+``initial_step``, and halves after a rejected one, so a start that sits
+within a step of a local maximum still climbs to it (a geometric decay
+stalls there once its steps overshoot the maximum). The loop and its stall
+and target rules are shared, and the start's value and the value of a moved
+witness are still computed on the matrix pair, so a reported value is the
+recomputed norm of its witness.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from .freegroup import GroupRingElement
 from .representation import (
     Representation,
     check_mu,
-    deformation_function,
     evaluate,
     letter_images,
     power_tables,
@@ -75,6 +79,10 @@ from .linalg import (
 )
 
 _STALL_WINDOW = 25
+# The torus ascent's step: times _TORUS_GROWTH (capped at initial_step) after
+# an accepted proposal, times _TORUS_SHRINK after a rejected one.
+_TORUS_GROWTH = 1.5
+_TORUS_SHRINK = 0.5
 # Angles per generator in the 1-D torus oracle: steps of half a degree.
 ORACLE_GRID = 720
 _GRADIENT_FLOOR = 1e-14
@@ -94,6 +102,11 @@ _oracle_magnitude = None
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs for the multi-start ascent; defaults suit dimensions up to 8.
+
+    Every start's first step is ``initial_step``. A start of dimension >= 2
+    multiplies its step by ``step_decay`` after every proposal; a
+    1-dimensional start grows an accepted step 1.5x, up to ``initial_step``,
+    and halves a rejected one.
 
     The constructor is the one check for flags and config files alike: it
     rejects what the ascent cannot run with ``ValueError`` and stores ints
@@ -504,13 +517,14 @@ def _subgradient(element, rep, left, right, tables):
     return direction("u"), direction("v")
 
 
-def _matrix_moves(element, mu):
-    """(score, direction, propose) of the ascent on pairs of d x d unitaries.
+def _matrix_moves(element, mu, config):
+    """(score, direction, propose, next_step) of the ascent on pairs of d x d unitaries.
 
     score(pair) is (value, point) with point = (pair, left, right, tables);
     direction(point) is the eigendecompositions of G_u/s and G_v/s, or None
     when s = ||(G_u, G_v)|| is below the floor; propose(point, direction,
-    step) is the pair (exp(i step G_u/s) U, exp(i step G_v/s) V), retracted.
+    step) is the pair (exp(i step G_u/s) U, exp(i step G_v/s) V), retracted;
+    next_step(step, accepted) is step * ``step_decay`` either way.
     """
 
     def score(rep):
@@ -538,7 +552,10 @@ def _matrix_moves(element, mu):
         )
         return retract_to(proposal, mu)
 
-    return score, direction, propose
+    def next_step(step, accepted):
+        return step * config.step_decay
+
+    return score, direction, propose, next_step
 
 
 def _torus_objective(terms, z_u, z_v):
@@ -575,11 +592,29 @@ def _torus_level(z_u, z_v):
     return min(max(0.0, x, -x), 4.0)
 
 
-def _torus_moves(element, mu):
-    """(score, direction, propose) of the ascent on 1-dimensional pairs, as
-    :func:`_matrix_moves` computes them at d = 1, in scalar arithmetic.
+def _torus_retraction(z, scale):
+    """``deformation_function(t)(z)`` for a scalar z and scale = 1 - t, bit
+    for bit, signed zeros included, in ``math`` arithmetic.
 
-    A pair is (z_u, z_v); a point is :func:`_torus_objective`'s.
+    numpy computes c + 1j * y, y = +-s, as (c + (0 y - 0)) + (0 + (0 + y)) i:
+    the imaginary part is never -0.0, and a real part -0.0 survives only in
+    the lower half, where 0 y - 0 is -0.0.
+    """
+    c = min(max(scale * z.real, -1.0), 1.0)
+    s = math.sqrt((1.0 - c) * (1.0 + c))
+    if z.imag >= 0.0:
+        return complex(c + 0.0, s)
+    return complex(c, 0.0 - s)
+
+
+def _torus_moves(element, mu, config):
+    """(score, direction, propose, next_step) of the ascent on 1-dimensional
+    pairs: score, direction and propose as :func:`_matrix_moves` computes
+    them at d = 1, in scalar arithmetic.
+
+    A pair is (z_u, z_v); a point is :func:`_torus_objective`'s. next_step
+    grows an accepted step by ``_TORUS_GROWTH``, up to ``initial_step``, and
+    shrinks a rejected one by ``_TORUS_SHRINK``.
     """
     terms = _torus_terms(element)
 
@@ -599,9 +634,15 @@ def _torus_moves(element, mu):
         m = _torus_level(z_u, z_v)
         if m <= mu:
             return z_u, z_v
-        return tuple(deformation_function(1.0 - mu / m)(np.array([z_u, z_v])).tolist())
+        scale = 1.0 - (1.0 - mu / m)  # the 1 - t of deformation_function(t)
+        return _torus_retraction(z_u, scale), _torus_retraction(z_v, scale)
 
-    return score, direction, propose
+    def next_step(step, accepted):
+        if accepted:
+            return min(_TORUS_GROWTH * step, config.initial_step)
+        return step * _TORUS_SHRINK
+
+    return score, direction, propose, next_step
 
 
 def _ascend(element, mu, start, config, target=np.inf):
@@ -613,7 +654,8 @@ def _ascend(element, mu, start, config, target=np.inf):
     reached, the trailing 25-iteration window improved the value by less
     than the stall tolerance, or the gradient vanished.
 
-    A 1-dimensional start steps on the torus (:func:`_torus_moves`); its
+    The moves, the step rule included, come from the start's geometry. A
+    1-dimensional start steps on the torus (:func:`_torus_moves`); its
     returned value is the matrix objective of the start or, if it moved and
     that is not lower, of the moved pair.
     """
@@ -621,10 +663,10 @@ def _ascend(element, mu, start, config, target=np.inf):
     if start_value >= target:
         return start_value, start, 0, True
     if start.dim == 1:
-        score, direction_at, propose = _torus_moves(element, mu)
+        score, direction_at, propose, next_step = _torus_moves(element, mu, config)
         value, point = score((complex(start.u[0, 0]), complex(start.v[0, 0])))
     else:
-        score, direction_at, propose = _matrix_moves(element, mu)
+        score, direction_at, propose, next_step = _matrix_moves(element, mu, config)
         value, point = start_value, (start, left, right, tables)
     origin = point
     history = [value]
@@ -643,11 +685,12 @@ def _ascend(element, mu, start, config, target=np.inf):
                 converged = True
                 break
         new_value, new_point = score(propose(point, direction, step))
-        if new_value > value:
+        accepted = new_value > value
+        if accepted:
             point, value = new_point, new_value
             direction = None
         steps = k
-        step *= config.step_decay
+        step = next_step(step, accepted)
         history.append(value)
         if len(history) > _STALL_WINDOW:
             if history[-1] - history[-1 - _STALL_WINDOW] < config.stall_tolerance:

@@ -167,10 +167,22 @@ def test_subgradient_of_identity_only_element_is_zero():
     assert not g_v.any()
 
 
+def _geometric_step(step, accepted, config):
+    """The d >= 2 step rule: times ``step_decay`` after every proposal."""
+    return step * config.step_decay
+
+
+def _torus_step(step, accepted, config):
+    """The d = 1 step rule: 1.5x after an accepted proposal, capped at
+    ``initial_step``, and half after a rejected one."""
+    return min(1.5 * step, config.initial_step) if accepted else 0.5 * step
+
+
 def _reference_ascent(element, mu, start, config):
     """The ascent loop with the direction and its eigendecompositions
-    recomputed on every step; returns _ascend's 4-tuple and the number of
-    rejected proposals."""
+    recomputed on every step and the step rule of the start's dimension;
+    returns _ascend's 4-tuple and the number of rejected proposals."""
+    next_step = _torus_step if start.dim == 1 else _geometric_step
     current = start
     value, left, right, tables = optimize._objective(element, current)
     history = [value]
@@ -188,13 +200,14 @@ def _reference_ascent(element, mu, start, config):
         )
         proposal = retract_to(proposal, mu)
         new_value, new_left, new_right, new_tables = optimize._objective(element, proposal)
-        if new_value > value:
+        accepted = new_value > value
+        if accepted:
             current, value, left, right = proposal, new_value, new_left, new_right
             tables = new_tables
         else:
             rejected += 1
         steps = k
-        step *= config.step_decay
+        step = next_step(step, accepted, config)
         history.append(value)
         if len(history) > 25 and history[-1] - history[-26] < config.stall_tolerance:
             converged = True
@@ -207,10 +220,11 @@ def _scalar_pair(z_u, z_v):
     return Representation._unchecked(np.array([[z_u]]), np.array([[z_v]]))
 
 
-def _reference_torus_ascent(element, mu, start, config):
-    """The torus ascent with its direction recomputed on every step and each
-    proposal's level taken from ``constraint_value`` of the 1 x 1 pair;
-    returns _ascend's 4-tuple and the number of rejected proposals."""
+def _reference_torus_ascent(element, mu, start, config, next_step=_torus_step):
+    """The torus ascent with its direction recomputed on every step, each
+    proposal's level taken from ``constraint_value`` of the 1 x 1 pair and
+    its retraction from ``deformation_function``; returns _ascend's 4-tuple
+    and the number of rejected proposals."""
     terms = optimize._torus_terms(element)
     start_value = optimize._objective(element, start)[0]
     value, point = optimize._torus_objective(terms, complex(start.u[0, 0]), complex(start.v[0, 0]))
@@ -229,12 +243,13 @@ def _reference_torus_ascent(element, mu, start, config):
         if m > mu:
             z_u, z_v = deformation_function(1.0 - mu / m)(np.array([z_u, z_v])).tolist()
         new_value, new_point = optimize._torus_objective(terms, z_u, z_v)
-        if new_value > value:
+        accepted = new_value > value
+        if accepted:
             point, value, moved = new_point, new_value, True
         else:
             rejected += 1
         steps = k
-        step *= config.step_decay
+        step = next_step(step, accepted, config)
         history.append(value)
         if len(history) > 25 and history[-1] - history[-26] < config.stall_tolerance:
             converged = True
@@ -269,7 +284,10 @@ def test_ascent_matches_per_step_direction_bit_for_bit(kind, initial_step, dim):
     assert got[1].u.tobytes() == witness.u.tobytes()
     assert got[1].v.tobytes() == witness.v.tobytes()
     if kind == "long" and initial_step == 0.3:
-        assert 2 * rejected >= steps  # mostly rejected proposals
+        if dim == 1:
+            assert 0 < rejected < steps  # the torus step grows and shrinks
+        else:
+            assert 2 * rejected >= steps  # mostly rejected proposals
 
 
 def _one_dim_starts():
@@ -288,18 +306,49 @@ def _one_dim_starts():
     return cases
 
 
-def test_torus_ascent_matches_the_matrix_ascent():
-    """The same steps and stopping rule; values and witnesses to rounding."""
+def test_torus_ascent_matches_the_matrix_ascent(monkeypatch):
+    """The same steps, stopping and rejections; every move to rounding.
+
+    Each torus proposal is compared with the matrix proposal from the same
+    point. Whole ascents are compared by their decisions only: near a
+    maximum the unit direction g/|g| turns by about H dz/|g| for a point
+    moved by dz, so once a start climbs there, a rounding difference
+    between scalar and matrix arithmetic grows from step to step.
+    """
+    moves, proposals, decisions = optimize._torus_moves, [], []
+
+    def logged_moves(element, mu, config):
+        score, direction, propose, next_step = moves(element, mu, config)
+
+        def logged_propose(point, direction, step):
+            pair = propose(point, direction, step)
+            proposals.append((point, step, pair))
+            return pair
+
+        def logged_next_step(step, accepted):
+            decisions.append(accepted)
+            return next_step(step, accepted)
+
+        return score, direction, logged_propose, logged_next_step
+
+    monkeypatch.setattr(optimize, "_torus_moves", logged_moves)
     moved = 0
     for element, mu, start, initial_step in _one_dim_starts():
         config = OptimizerConfig(max_steps=60, initial_step=initial_step)
-        (value, witness, steps, converged), _ = _reference_ascent(element, mu, start, config)
+        (_, _, steps, converged), rejected = _reference_ascent(element, mu, start, config)
+        proposals.clear()
+        decisions.clear()
         got = optimize._ascend(element, mu, start, config)
         assert got[2] == steps
         assert got[3] == converged
-        assert abs(got[0] - value) <= 1e-12 * max(1.0, value)
-        assert abs(got[1].u[0, 0] - witness.u[0, 0]) <= 1e-12
-        assert abs(got[1].v[0, 0] - witness.v[0, 0]) <= 1e-12
+        assert decisions.count(False) == rejected
+        score, direction, propose, _ = optimize._matrix_moves(element, mu, config)
+        for point, step, (z_u, z_v) in proposals:
+            value, matrix_point = score(_scalar_pair(point[0], point[1]))
+            assert abs(abs(point[2]) - value) <= 1e-12 * max(1.0, value)
+            pair = propose(matrix_point, direction(matrix_point), step)
+            assert abs(pair.u[0, 0] - z_u) <= 1e-12
+            assert abs(pair.v[0, 0] - z_v) <= 1e-12
         moved += got[1] is not start
     assert moved >= 20
 
@@ -323,8 +372,7 @@ def _check_one_direction_per_accepted_point(events, steps):
                 current, best, stale = point, new_value, True
                 accepted += 1
     assert directions == 1 + accepted - stale
-    assert 2 * (steps - accepted) >= steps
-    return current, best
+    return current, best, accepted
 
 
 def test_ascent_computes_direction_once_per_accepted_point(monkeypatch):
@@ -349,8 +397,9 @@ def test_ascent_computes_direction_once_per_accepted_point(monkeypatch):
         start = random_constrained(dim, 2.5, seed=10 + dim)
         value, witness, steps, _ = optimize._ascend(element, 2.5, start, config)
         assert events[0][1] is start
-        current, best = _check_one_direction_per_accepted_point(events, steps)
+        current, best, accepted = _check_one_direction_per_accepted_point(events, steps)
         assert current is witness and best == value
+        assert 2 * (steps - accepted) >= steps  # mostly rejected proposals
 
 
 def test_torus_ascent_computes_direction_once_per_accepted_point(monkeypatch):
@@ -373,7 +422,9 @@ def test_torus_ascent_computes_direction_once_per_accepted_point(monkeypatch):
     start = random_constrained(1, 2.5, seed=11)
     value, witness, steps, _ = optimize._ascend(element, 2.5, start, config)
     assert events[0][1][:2] == (start.u[0, 0], start.v[0, 0])
-    current, best = _check_one_direction_per_accepted_point(events, steps)
+    current, best, accepted = _check_one_direction_per_accepted_point(events, steps)
+    # Both kinds occur, so a direction is reused after a rejection.
+    assert 0 < accepted < steps
     assert (witness.u[0, 0], witness.v[0, 0]) == current[:2]
     assert abs(best - value) <= 1e-12 * value
 
@@ -414,7 +465,7 @@ def test_torus_level_is_the_constraint_value_bit_for_bit():
 
 
 def test_torus_retraction_at_level_zero_lands_on_positive_zero():
-    _, _, propose = optimize._torus_moves(parse_element("u + 2*v"), 0.0)
+    _, _, propose, _ = optimize._torus_moves(parse_element("u + 2*v"), 0.0, OptimizerConfig())
     for seed in range(50):
         start = random_constrained(1, 4.0, seed=seed)
         point = (complex(start.u[0, 0]), complex(start.v[0, 0]))
@@ -422,6 +473,48 @@ def test_torus_retraction_at_level_zero_lands_on_positive_zero():
         for level in (optimize._torus_level(z_u, z_v), constraint_value(_scalar_pair(z_u, z_v))):
             assert level == 0.0 and math.copysign(1.0, level) == 1.0
         assert abs(z_u.imag) == abs(z_v.imag) == 1.0
+
+
+def test_torus_retraction_is_the_deformation_function_bit_for_bit():
+    # Seeded unit points, the four axis points with either sign of zero in
+    # each part, and points whose real part is -0.0.
+    rng = np.random.default_rng(27)
+    axes = [complex(a, b) for a in (1.0, -1.0, 0.0, -0.0) for b in (0.0, -0.0, 1.0, -1.0)]
+    unit = [cmath.rect(1.0, a) for a in rng.uniform(0.0, 2.0 * math.pi, size=10_000)]
+    points = axes + unit + [complex(-0.0, z.imag) for z in unit[:100]]
+    # Levels m > mu, as propose meets them, where mu = 0 gives t = 1; and
+    # t = 0, where the lower-half point 1 - i maps to 1 + 0i, not 1 - 0i.
+    levels = [(0.0, 4.0), (0.0, 1e-300), (2.0, 4.0), (4.0 - 1e-15, 4.0), (4.0, 4.0)]
+    levels += [(mu, float(rng.uniform(mu, 4.0))) for mu in rng.uniform(0.0, 4.0, size=6)]
+    for mu, m in levels:
+        t = 1.0 - mu / m
+        want = deformation_function(t)(np.array(points))
+        got = np.array([optimize._torus_retraction(z, 1.0 - t) for z in points])
+        assert got.tobytes() == want.tobytes()
+        if mu == 0.0:
+            # Every point lands on +-i with real part +0.0 or -0.0, and the
+            # level of any such pair is +0.0.
+            assert all(w.real == 0.0 and abs(w.imag) == 1.0 for w in got)
+            for w in got[:16]:
+                level = optimize._torus_level(w, complex(-0.0, -1.0))
+                assert level == 0.0 and math.copysign(1.0, level) == 1.0
+
+
+def test_torus_ascent_ends_at_or_above_the_geometric_step_rule():
+    # The oracle start sits within a grid cell of a local maximum: the
+    # geometric rule's steps, 0.1 * 0.97^k > 0.047 over its first 25
+    # proposals, overshoot it, while the torus rule halves until it climbs.
+    config = OptimizerConfig(max_steps=60)
+    higher = 0
+    for seed in range(300):
+        element = _syllable_element(np.random.default_rng((27, seed)))
+        mu = (0.5, 1.5, 2.5, 3.5)[seed % 4]
+        start = next(optimize._candidate_starts(element, mu, config, ()))
+        (old, _, _, _), _ = _reference_torus_ascent(element, mu, start, config, _geometric_step)
+        value = optimize._ascend(element, mu, start, config)[0]
+        assert value >= old
+        higher += value > old
+    assert higher >= 250
 
 
 def test_torus_ascent_stops_where_the_scalar_image_vanishes():
@@ -1094,6 +1187,28 @@ def test_closed_bracket_builds_no_fresh_start(monkeypatch):
     assert result.restart_index == 0
     assert result.steps == 0
     assert result.converged
+
+
+def test_oracle_start_closes_an_off_grid_bracket(monkeypatch):
+    # |u + c v| reaches 2 = l1 where theta - phi = arg c = 0.927 rad, which
+    # is no multiple of the grid's half degree: the oracle start is 1.3e-6
+    # short, and must climb to within stall_tolerance with no fresh start.
+    calls = []
+    original = optimize.random_constrained
+
+    def counting(dim, mu, seed):
+        calls.append(dim)
+        return original(dim, mu, seed=seed)
+
+    monkeypatch.setattr(optimize, "random_constrained", counting)
+    element = parse_element("u + (0.6+0.8i)*v")
+    config = OptimizerConfig()
+    for mu in (0.5, 2.0):
+        assert one_dim_oracle(element, mu) < upper_bound(element, mu) - 1e-6
+        result = estimate_norm(element, mu, config)
+        assert result.restart_index == 0 and result.steps > 0
+        assert result.gap <= config.stall_tolerance
+    assert calls == []
 
 
 def test_pool_witness_wins_after_bracket_closes():
