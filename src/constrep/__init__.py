@@ -24,6 +24,8 @@ the free group on two generators. It provides:
   2*sqrt(3) tree norm, and CSV/SVG export of norm curves;
 * :mod:`constrep.verify` -- one residual function per exact identity,
   and the named self-check suites behind ``constrep verify``.
+
+Every size is capped where it enters; README's Limits section lists the caps.
 """
 
 from .freegroup import (
@@ -51,9 +53,7 @@ from .representation import (
     deform,
     deformation_function,
     evaluate,
-    is_constrained,
     load_representation,
-    one_dim_rep,
     random_constrained,
     retract_to,
     save_representation,
@@ -85,7 +85,6 @@ from .bundle import (
     KESTEN_NORM,
     cayley_ball_norm,
     export_csv,
-    read_curve_csv,
     render_svg,
 )
 from .verify import CheckResult, run_suite
@@ -117,9 +116,7 @@ __all__ = [
     "deform",
     "deformation_function",
     "evaluate",
-    "is_constrained",
     "load_representation",
-    "one_dim_rep",
     "random_constrained",
     "retract_to",
     "save_representation",
@@ -148,7 +145,6 @@ __all__ = [
     "KESTEN_NORM",
     "cayley_ball_norm",
     "export_csv",
-    "read_curve_csv",
     "render_svg",
     # verify
     "CheckResult",

@@ -128,29 +128,6 @@ def export_csv(curve, path=None):
     return payload
 
 
-def read_curve_csv(path):
-    """Read back a CSV written by :func:`export_csv` as a list of dicts."""
-    with open(path, "r", encoding="ascii") as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header; want {CSV_HEADER!r}")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 5 or parts[4] not in ("true", "false"):
-            raise ValueError(f"malformed CSV row: {line!r}")
-        rows.append(
-            {
-                "mu": float(parts[0]),
-                "estimate": float(parts[1]),
-                "dim": int(parts[2]),
-                "restarts": int(parts[3]),
-                "converged": parts[4] == "true",
-            }
-        )
-    return rows
-
-
 _SVG_WIDTH = 800
 _SVG_HEIGHT = 600
 _SVG_MARGIN = 60.0
@@ -247,16 +224,3 @@ def render_svg(curve, path=None):
         with open(path, "w", encoding="ascii", newline="\n") as handle:
             handle.write(payload)
     return payload
-
-
-__all__ = [
-    "KESTEN_NORM",
-    "MAX_BALL_DEPTH",
-    "ball_vertex_count",
-    "cayley_ball_norm",
-    "ball_norm_table",
-    "CSV_HEADER",
-    "export_csv",
-    "read_curve_csv",
-    "render_svg",
-]

@@ -270,8 +270,6 @@ def _run_kesten(args):
 
 
 def _run_rep_gen(args):
-    if args.dim < 1:
-        raise ValueError(f"dimension must be positive, got {args.dim}")
     rep = representation.random_constrained(args.dim, args.mu, seed=args.seed)
     representation.save_representation(rep, args.output)
     print(

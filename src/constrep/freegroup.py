@@ -151,10 +151,6 @@ class GroupRingElement:
         raise AttributeError("GroupRingElement is immutable")
 
     @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
     def from_scalar(cls, value):
         return cls({Word.identity(): complex(value)})
 

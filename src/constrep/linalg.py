@@ -23,6 +23,9 @@ import numpy as np
 
 UNITARY_TOL = 1e-8
 CLUSTER_TOL = 1e-8
+# Largest Haar draw, so the largest start: at d = 128 a start on a long-word
+# element peaks near 0.2 GB, and d = 256 would take 4x that (README, Limits).
+MAX_DIM = 128
 
 
 class NonUnitaryError(ValueError):
@@ -51,9 +54,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-
-    def reconstruct(self):
-        return (self.vectors * self.eigenvalues) @ self.vectors.conj().T
 
 
 def unitary_eig(w):
@@ -136,8 +136,8 @@ def operator_norm(a):
 
 def haar_unitary(dim, rng):
     """Haar-distributed unitary drawn from an existing Generator."""
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
+    if not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"dimension must lie in [1, {MAX_DIM}], got {dim}")
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diag(r).copy()

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -70,6 +71,7 @@ from .representation import (
     retract_to,
 )
 from .linalg import (
+    MAX_DIM,
     NonUnitaryError,
     UNITARY_TOL,
     SpectralDecomposition,
@@ -78,6 +80,11 @@ from .linalg import (
     unitary_exponential,
 )
 
+# An estimate runs at most MAX_DIMS x MAX_RESTARTS fresh starts, each of size
+# at most linalg.MAX_DIM and at most MAX_STEPS steps.
+MAX_DIMS = 16
+MAX_RESTARTS = 1000
+MAX_STEPS = 10_000
 _STALL_WINDOW = 25
 # The torus ascent's step: times _TORUS_GROWTH (capped at initial_step) after
 # an accepted proposal, times _TORUS_SHRINK after a rejected one.
@@ -108,10 +115,11 @@ class OptimizerConfig:
     1-dimensional start grows an accepted step 1.5x, up to ``initial_step``,
     and halves a rejected one.
 
-    The constructor is the one check for flags and config files alike: it
-    rejects what the ascent cannot run with ``ValueError`` and stores ints
-    and floats. The 1-D oracle start of dimension 1 scans the fixed
-    ``ORACLE_GRID`` whatever the config, so its cost is bounded.
+    The constructor is the one check for flags, config files and library
+    callers alike: it rejects what the ascent cannot run, and any size over
+    its cap, with ``ValueError``, and stores ints and floats. The 1-D oracle
+    start scans the fixed ``ORACLE_GRID`` whatever the config, so its cost
+    is bounded.
     """
 
     dims: tuple = (1, 2, 4, 8)
@@ -125,18 +133,21 @@ class OptimizerConfig:
     def __post_init__(self):
         if isinstance(self.dims, (str, bytes)) or not hasattr(self.dims, "__iter__"):
             raise ValueError(f"dims must be a sequence of integers, got {self.dims!r}")
-        dims = tuple(_integer("dims entry", d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError("dims must be a non-empty tuple of positive integers")
+        # At most one entry past the cap is read, whatever the iterable.
+        dims = tuple(_integer("dims entry", d) for d in itertools.islice(self.dims, MAX_DIMS + 1))
+        if not 1 <= len(dims) <= MAX_DIMS:
+            raise ValueError(f"dims must hold 1 to {MAX_DIMS} sizes")
+        if any(not 1 <= d <= MAX_DIM for d in dims):
+            raise ValueError(f"dims entries must lie in [1, {MAX_DIM}], got {dims}")
         object.__setattr__(self, "dims", dims)
         for name in ("restarts", "max_steps", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("initial_step", "step_decay", "stall_tolerance"):
             object.__setattr__(self, name, _finite(name, getattr(self, name)))
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
+        if not 1 <= self.restarts <= MAX_RESTARTS:
+            raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {self.restarts}")
+        if not 1 <= self.max_steps <= MAX_STEPS:
+            raise ValueError(f"max_steps must lie in [1, {MAX_STEPS}], got {self.max_steps}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not (0.0 < self.initial_step):

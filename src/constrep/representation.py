@@ -75,13 +75,6 @@ class Representation:
     def dim(self):
         return self.u.shape[0]
 
-    def distance(self, other):
-        """Max Frobenius distance between corresponding generator images."""
-        return max(
-            float(np.linalg.norm(self.u - other.u)),
-            float(np.linalg.norm(self.v - other.v)),
-        )
-
 
 def letter_images(rep):
     """Matrix of each letter under the pair: U, U*, V, V* for u, u^-1, v, v^-1."""
@@ -186,12 +179,6 @@ def constraint_value(rep):
     return min(max(0.0, float(eigenvalues[-1]), -float(eigenvalues[0])), 4.0)
 
 
-def is_constrained(rep, mu, tol=1e-8):
-    """Whether the pair satisfies the constraint at level mu, within tol."""
-    mu = check_mu(mu)
-    return constraint_value(rep) <= mu + tol
-
-
 def deformation_function(t):
     """The circle map applied eigenvalue-wise by :func:`deform`.
 
@@ -250,14 +237,6 @@ def retract_to(rep, mu):
     if m <= mu:
         return rep
     return deform(rep, 1.0 - mu / m)
-
-
-def one_dim_rep(theta, phi):
-    """The 1-dimensional pair u -> e^(i theta), v -> e^(i phi)."""
-    return Representation(
-        np.array([[np.exp(1j * float(theta))]]),
-        np.array([[np.exp(1j * float(phi))]]),
-    )
 
 
 def random_constrained(dim, mu, seed):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from constrep.linalg import unitary_eig
+from constrep.representation import Representation
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,6 +18,11 @@ def loop_calculus(w, fn):
     dec = unitary_eig(w)
     values = np.array([complex(fn(complex(z))) for z in dec.eigenvalues])
     return (dec.vectors * values) @ dec.vectors.conj().T
+
+
+def character(theta, phi):
+    """The 1 x 1 pair u -> e^(i theta), v -> e^(i phi)."""
+    return Representation(np.array([[np.exp(1j * theta)]]), np.array([[np.exp(1j * phi)]]))
 
 
 def run_python(*args, cwd=None):

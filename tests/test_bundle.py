@@ -98,31 +98,20 @@ def test_csv_round_trip(tmp_path):
     assert payload.startswith(bundle.CSV_HEADER + "\n")
     assert payload == path.read_text(encoding="ascii")
 
-    rows = bundle.read_curve_csv(path)
+    rows = [line.split(",") for line in payload.splitlines()[1:]]
     assert len(rows) == 3
     for row, mu, estimate in zip(rows, curve.grid, curve.estimates):
-        assert row["mu"] == float("%.9g" % mu)
-        assert row["estimate"] == float("%.9g" % estimate.value)
-        assert row["dim"] == estimate.dim_used
-        assert row["restarts"] == estimate.restart_index
-        assert row["converged"] == estimate.converged
+        assert row == [
+            "%.9g" % mu,
+            "%.9g" % estimate.value,
+            str(estimate.dim_used),
+            str(estimate.restart_index),
+            "true" if estimate.converged else "false",
+        ]
 
     # a second export is byte-identical
     again = tmp_path / "curve2.csv"
     assert bundle.export_csv(curve, again) == payload
-
-
-def test_read_curve_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("mu,value\n0,1\n")
-    with pytest.raises(ValueError):
-        bundle.read_curve_csv(path)
-    path.write_text(bundle.CSV_HEADER + "\n1,2,3\n")
-    with pytest.raises(ValueError):
-        bundle.read_curve_csv(path)
-    path.write_text(bundle.CSV_HEADER + "\n0,2,1,1,yes\n")
-    with pytest.raises(ValueError, match="0,2,1,1,yes"):
-        bundle.read_curve_csv(path)
 
 
 def test_svg_rendering_is_deterministic(tmp_path):

@@ -3,13 +3,15 @@ through ``cli.main`` where a test times the command."""
 
 import json
 import time
+import tracemalloc
 
 import pytest
-from conftest import run_cli
+from conftest import character, run_cli
 
-from constrep import cli
+from constrep import cli, optimize
+from constrep.linalg import MAX_DIM
 from constrep.optimize import NormEstimate
-from constrep.representation import constraint_value, load_representation, one_dim_rep
+from constrep.representation import constraint_value, load_representation
 
 FAST_FLAGS = ["--dims", "1,2", "--restarts", "2", "--max-steps", "60"]
 
@@ -40,7 +42,7 @@ def test_estimate_bracket_at_zero_is_not_inverted():
     # the gap is upper - value, unclamped, so an inverted bracket would show
     fields = dict(line.split(": ") for line in result.stdout.splitlines())
     assert float(fields["gap"]) == float(fields["upper"]) - float(fields["norm_estimate"])
-    inverted = NormEstimate(1.0, one_dim_rep(0.0, 0.0), 1, 0, 0, True, upper=0.5)
+    inverted = NormEstimate(1.0, character(0.0, 0.0), 1, 0, 0, True, upper=0.5)
     assert inverted.gap == -0.5
 
 
@@ -199,6 +201,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         {"dims": "12"},
         {"max_steps": 2.7},
         {"dims": [1.9]},
+        {"dims": [1, MAX_DIM + 1]},
         {"stall_tolerance": float("nan")},
         {"initial_step": float("inf")},
     ],
@@ -217,3 +220,39 @@ def test_config_file_rejects_values_it_cannot_run(tmp_path, payload):
 def test_missing_config_file_is_a_runtime_error():
     result = run_cli("estimate", "-e", "u", "-m", "2", "--config", "/no/such/file")
     assert result.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--dims", str(MAX_DIM + 1)],
+        ["--dims", ",".join(["1"] * (optimize.MAX_DIMS + 1))],
+        ["--restarts", str(optimize.MAX_RESTARTS + 1)],
+        ["--max-steps", str(optimize.MAX_STEPS + 1)],
+        ["rep-gen", "-d", str(MAX_DIM + 1), "-m", "2", "-o", "pair.json"],
+    ],
+    ids=["dims_entry", "dims_length", "restarts", "max_steps", "rep_gen_dim"],
+)
+def test_size_over_its_cap_exits_one_before_allocating(args, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if args[0] != "rep-gen":
+        # An element no other test scans, so its oracle grid is not cached.
+        args = ["estimate", "-e", "u + 2*v^3", "-m", "2", *args]
+    # Load what both commands import lazily, through calls rejected below any cap.
+    assert cli.main(["estimate", "-e", "u", "-m", "2", "--restarts", "0"]) == 1
+    assert cli.main(["rep-gen", "-d", "0", "-m", "2", "-o", "pair.json"]) == 1
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = cli.main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    # Running on would allocate more: the oracle grid is 4 MB, and a Haar draw
+    # at d = 128 peaks at 1.2 MB.
+    assert peak < 2**20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []

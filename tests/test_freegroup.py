@@ -99,8 +99,8 @@ def test_adjoint_reverses_products():
 
 def test_scalar_and_ring_arithmetic():
     u = generator("u")
-    assert (u - u) == GroupRingElement.zero()
-    assert 0.0 * u == GroupRingElement.zero()
+    assert (u - u) == GroupRingElement({})
+    assert 0.0 * u == GroupRingElement({})
     assert (u + u) == 2.0 * u
     assert (u**3) == u * u * u
     assert (u**0) == unit()
@@ -214,7 +214,7 @@ def test_format_canonical_order():
     # Letter by letter: uuv < uvv and vuu < vvu.
     a = parse_element("v^2*u + v*u^2 + u*v^2 + u^2*v")
     assert format_element(a) == "u^2*v + u*v^2 + v*u^2 + v^2*u"
-    assert format_element(GroupRingElement.zero()) == "0"
+    assert format_element(GroupRingElement({})) == "0"
     assert format_element(unit()) == "1.0"
 
 
@@ -306,7 +306,7 @@ def test_adjoint_is_involutive(a):
 @given(_elements, _elements)
 def test_addition_commutes(a, b):
     assert a + b == b + a
-    assert a - a == GroupRingElement.zero()
+    assert a - a == GroupRingElement({})
 
 
 # Letter-level reference: a word as its tuple of letters (generator, +-1),

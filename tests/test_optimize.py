@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import run_python
+from conftest import character, run_python
 
 from constrep import optimize
 from constrep.freegroup import (
@@ -18,6 +18,7 @@ from constrep.freegroup import (
     parse_element,
 )
 from constrep.linalg import (
+    MAX_DIM,
     NonUnitaryError,
     SpectralDecomposition,
     operator_norm,
@@ -37,7 +38,6 @@ from constrep.representation import (
     deformation_function,
     evaluate,
     letter_images,
-    one_dim_rep,
     power_tables,
     random_constrained,
     retract_to,
@@ -81,6 +81,20 @@ def test_config_validation():
     assert config.dims == (2, 1)
     assert type(config.max_steps) is int and config.max_steps == 7
     assert type(config.initial_step) is float and config.initial_step == 1.0
+    # Every size is accepted up to its cap, and dims reads one entry past it.
+    config = OptimizerConfig(
+        dims=(MAX_DIM,) * optimize.MAX_DIMS,
+        restarts=optimize.MAX_RESTARTS,
+        max_steps=optimize.MAX_STEPS,
+    )
+    assert config.dims == (MAX_DIM,) * optimize.MAX_DIMS
+
+    def sizes():
+        yield from [1] * (optimize.MAX_DIMS + 1)
+        raise AssertionError("read past the cap")
+
+    with pytest.raises(ValueError, match="sizes"):
+        OptimizerConfig(dims=sizes())
 
 
 def _long_word_element(seed):
@@ -641,7 +655,7 @@ def test_one_dim_oracle_argmax_is_feasible():
 
 def _syllable_element(rng, terms=None):
     """``terms`` (default 2-4) terms of 1-3 alternating syllables with |exponent| <= 16."""
-    element = GroupRingElement.zero()
+    element = GroupRingElement({})
     for _ in range(int(rng.integers(2, 5)) if terms is None else terms):
         first = int(rng.integers(0, 2))
         term = GroupRingElement.from_scalar(1.0)
@@ -668,7 +682,7 @@ def _identity_first_evaluate(rep, element):
 def _letter_word_element(rng):
     """2-4 terms of 1-6 letters whose neighbours belong to different
     generators, so every syllable has power +-1."""
-    element = GroupRingElement.zero()
+    element = GroupRingElement({})
     for _ in range(int(rng.integers(2, 5))):
         first = int(rng.integers(0, 2))
         term = GroupRingElement.from_scalar(1.0)
@@ -842,7 +856,7 @@ def test_oracle_matches_per_term_reference():
             value, theta, phi = optimize._oracle_scan(element, mu)
             assert abs(value - _reference_oracle(element, mu)) <= 1e-12 * l1
             assert one_dim_oracle(element, mu) == value
-            image = evaluate(one_dim_rep(theta, phi), element)
+            image = evaluate(character(theta, phi), element)
             assert abs(abs(image[0, 0]) - value) <= 1e-12 * l1
             assert abs(2.0 * np.cos(theta) + 2.0 * np.cos(phi)) <= mu + 1e-12
 
@@ -1118,7 +1132,7 @@ def _random_element(rng):
     """A random polynomial in x (radial) or a random sum of short words."""
     if rng.integers(2):
         x = averaging_element()
-        out = GroupRingElement.zero()
+        out = GroupRingElement({})
         for k in range(int(rng.integers(1, 4))):
             coeff = complex(rng.standard_normal(), rng.standard_normal())
             out = out + coeff * x**k
@@ -1217,7 +1231,7 @@ def test_pool_witness_wins_after_bracket_closes():
     x = averaging_element()
     mu = 0.9
     config = OptimizerConfig(stall_tolerance=0.1)
-    witness = one_dim_rep(math.acos(0.45), math.pi / 2)
+    witness = character(math.acos(0.45), math.pi / 2)
     pool_value = operator_norm(evaluate(witness, x))
     assert one_dim_oracle(x, mu) < pool_value <= mu + 1e-12
     result = estimate_norm(x, mu, config, pool=(witness,))
@@ -1243,3 +1257,14 @@ def test_averaging_curve_closes_every_bracket():
         assert estimate.value >= max(values[:i], default=0.0)
         if 1 <= estimate.restart_index <= i:
             assert estimate.witness is curve.estimates[estimate.restart_index - 1].witness
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: at mu = 2 the oracle witness of these elements "
+    "evaluates to 2 + 4.4e-16 against the upper bound 2",
+)
+def test_brackets_at_level_two_are_not_inverted():
+    elements = ("u + v", "u - v", "u + i*v", "u - i*v^-1", "i*u + v^-1")
+    inverted = [text for text in elements if estimate_norm(parse_element(text), 2.0).gap < 0.0]
+    assert inverted == []
