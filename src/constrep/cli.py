@@ -59,12 +59,9 @@ def _mu_arg(text):
 
 def _dims_arg(text):
     try:
-        dims = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad dimension list: {text!r}") from exc
-    if not dims or any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError("dimensions must be positive integers")
-    return dims
 
 
 def _grid_arg(text):

@@ -167,7 +167,10 @@ class GroupRingElement:
         return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
 
     def coefficient_l1(self):
-        return sum(abs(c) for c in self.terms.values())
+        try:
+            return sum(abs(c) for c in self.terms.values())
+        except OverflowError:  # a modulus past the float range
+            return cmath.inf
 
     def adjoint(self):
         """Conjugate coefficients and invert words."""
@@ -354,7 +357,11 @@ class _Parser:
                     terms[word] = total
                 else:
                     del terms[word]
-        return GroupRingElement(terms)
+        element = GroupRingElement(terms)
+        # Terms of distinct words can still overflow together, in the l1 norm.
+        if not cmath.isfinite(element.coefficient_l1()):
+            raise ParseError("coefficient overflow", self.tokens[0][2])
+        return element
 
     # term := coeff ['*' word] | word
     def term(self):

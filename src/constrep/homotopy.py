@@ -56,7 +56,7 @@ def upper_fold(z):
 
 
 def upper_fold_matrix(w):
-    """Functional calculus of :func:`upper_fold` on a unitary matrix."""
+    """Functional calculus of :func:`upper_fold` on a checked unitary matrix."""
     return apply_circle_function(w, upper_fold)
 
 

@@ -5,7 +5,10 @@ Provides the few linear-algebra primitives everything else is built on:
 calculus (every matrix function is a circle function of a unitary); ``eigh``
 behind the ascent's :func:`unitary_exponential`; ``eigvalsh`` for the
 constraint value; one SVD for the operator norm and the top singular triple,
-so no result depends on an iteration cap; and Haar-random unitaries.
+so no result depends on an iteration cap; and Haar-random unitaries. The
+matrix functions are internal plumbing: they check nothing and take square
+complex arrays that the package built, or checked with
+:func:`unitarity_defect` where they entered.
 
 A unitary matrix is diagonalized through the commuting Hermitian pair
 H = (W + W*)/2 and S = (W - W*)/(2i): eigenvectors of H are refined inside
@@ -32,15 +35,6 @@ class NonUnitaryError(ValueError):
     """Input matrix is not unitary within tolerance."""
 
 
-def _as_square(a):
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    return a
-
-
 def unitarity_defect(w):
     """Frobenius norm of W*W - I."""
     w = np.asarray(w, dtype=complex)
@@ -57,17 +51,12 @@ class SpectralDecomposition:
 
 
 def unitary_eig(w):
-    """Eigendecomposition of a unitary matrix.
+    """Eigendecomposition of a unitary matrix the package built or validated.
 
     Eigenvalues are renormalized to unit modulus and ordered by increasing
     real part, with clusters of equal real part split by increasing
     imaginary part.
     """
-    w = _as_square(w)
-    defect = unitarity_defect(w)
-    if defect > UNITARY_TOL:
-        raise NonUnitaryError(f"matrix is not unitary (defect {defect:.3e})")
-
     h = (w + w.conj().T) / 2.0
     s = (w - w.conj().T) / 2.0j
     real_parts, q = np.linalg.eigh(h)
@@ -88,15 +77,12 @@ def unitary_eig(w):
             q[:, start:stop] = block @ rot
         start = stop
 
-    eigenvalues = np.diag(q.conj().T @ w @ q).copy()
-    moduli = np.abs(eigenvalues)
-    moduli[moduli == 0] = 1.0
-    eigenvalues = eigenvalues / moduli
-    return SpectralDecomposition(eigenvalues, q)
+    eigenvalues = np.diag(q.conj().T @ w @ q)
+    return SpectralDecomposition(eigenvalues / np.abs(eigenvalues), q)
 
 
 def apply_circle_function(w, fn):
-    """Functional calculus g(W) for a unitary W and a function on the circle.
+    """Functional calculus g(W) for a circle function and a checked unitary W.
 
     ``fn`` is called once, on the complex array of eigenvalues, and returns
     g elementwise. If |g| = 1 on the spectrum the result is unitary up to
@@ -119,19 +105,19 @@ def unitary_exponential(dec, scale=1.0):
 
 
 def top_singular_triple(a):
-    """Largest singular value of A with its left/right singular vectors.
+    """Largest singular value of a built square matrix A, with its singular vectors.
 
     One LAPACK SVD. Returns ``(sigma, left, right, converged)`` with
     ``left^* A right = sigma``, so the triple certifies its own value;
     ``converged`` is always True and is kept for callers that read it.
     """
-    left, s, right_h = np.linalg.svd(_as_square(a))
+    left, s, right_h = np.linalg.svd(a)
     return float(s[0]), left[:, 0], right_h[0].conj(), True
 
 
 def operator_norm(a):
-    """Operator (spectral) norm of a square complex matrix: its top singular value."""
-    return float(np.linalg.svd(_as_square(a), compute_uv=False)[0])
+    """Operator (spectral) norm of a built square matrix: its top singular value."""
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def haar_unitary(dim, rng):
@@ -140,10 +126,8 @@ def haar_unitary(dim, rng):
         raise ValueError(f"dimension must lie in [1, {MAX_DIM}], got {dim}")
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    diag = np.diag(r).copy()
-    moduli = np.abs(diag)
-    moduli[moduli == 0] = 1.0
-    phases = diag / moduli
+    diag = np.diag(r)  # nonzero: a Gaussian draw is full rank
+    phases = diag / np.abs(diag)
     # Fixing the triangular factor's diagonal to be real-positive makes the
     # distribution exactly Haar rather than QR-convention dependent.
     return q * phases

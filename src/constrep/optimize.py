@@ -181,6 +181,16 @@ def _finite(name, value):
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def _check_element(element):
+    """Coefficient l1 norm of a GroupRingElement; raises unless it is finite."""
+    if not isinstance(element, GroupRingElement):
+        raise TypeError("expected a GroupRingElement")
+    l1 = float(element.coefficient_l1())
+    if not math.isfinite(l1):
+        raise ValueError(f"element coefficients must have a finite l1 norm, got {l1}")
+    return l1
+
+
 @dataclass(frozen=True)
 class NormEstimate:
     """Certified bracket [value, upper] for one element and level.
@@ -362,8 +372,7 @@ def one_dim_oracle(element, mu):
     antidiagonal phi = pi - theta; the value is a lower bound for the
     constrained norm at level mu.
     """
-    if not isinstance(element, GroupRingElement):
-        raise TypeError("expected a GroupRingElement")
+    _check_element(element)
     value, _, _ = _oracle_scan(element, check_mu(mu))
     return value
 
@@ -437,10 +446,8 @@ def upper_bound(element, mu):
     points of |q|^2 in the interval. The smaller of the two bounds is
     returned.
     """
-    if not isinstance(element, GroupRingElement):
-        raise TypeError("expected a GroupRingElement")
+    bound = _check_element(element)
     mu = check_mu(mu)
-    bound = float(element.coefficient_l1())
     coeffs = _radial_coefficients(element)
     if coeffs is not None:
         q, critical = _radial_polynomial(tuple(coeffs))
@@ -762,11 +769,9 @@ def estimate_norm(element, mu, config=None, pool=()):
     if config is None:
         config = OptimizerConfig()
     mu = check_mu(mu)
-    if not isinstance(element, GroupRingElement):
-        raise TypeError("expected a GroupRingElement")
+    upper = upper_bound(element, mu)  # checks the element
     if element.is_zero:
         raise ValueError("cannot estimate the norm of the zero element")
-    upper = upper_bound(element, mu)
     target = upper - config.stall_tolerance
     n_before_fresh = (1 in config.dims) + len(pool)
     stop = target

@@ -33,6 +33,19 @@ def check_mu(mu):
     return mu
 
 
+def _checked_image(name, mat):
+    """A caller's image of ``name`` as a square, finite, unitary complex array."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"image of {name} must be a square matrix")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"image of {name} has non-finite entries")
+    defect = unitarity_defect(mat)
+    if defect > UNITARY_TOL:
+        raise NonUnitaryError(f"image of {name} is not unitary (defect {defect:.3e})")
+    return mat
+
+
 @dataclass(frozen=True, eq=False)
 class Representation:
     """A pair of same-dimension unitaries assigned to the generators u, v."""
@@ -41,21 +54,10 @@ class Representation:
     v: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex)
-        v = np.asarray(self.v, dtype=complex)
-        for name, mat in (("u", u), ("v", v)):
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"image of {name} must be a square matrix")
-            if not np.all(np.isfinite(mat)):
-                raise ValueError(f"image of {name} has non-finite entries")
+        u = _checked_image("u", self.u)
+        v = _checked_image("v", self.v)
         if u.shape != v.shape:
             raise ValueError("generator images must have equal dimensions")
-        for name, mat in (("u", u), ("v", v)):
-            defect = unitarity_defect(mat)
-            if defect > UNITARY_TOL:
-                raise NonUnitaryError(
-                    f"image of {name} is not unitary (defect {defect:.3e})"
-                )
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
@@ -63,8 +65,8 @@ class Representation:
     def _unchecked(cls, u, v):
         """Pair from complex arrays the caller built unitary; skips validation.
 
-        For the inner loops (deformation, ascent steps), whose inputs were
-        validated where they entered; the public constructor checks.
+        For the package's own constructions, whose inputs were validated where
+        they entered; the public constructor checks.
         """
         rep = object.__new__(cls)
         object.__setattr__(rep, "u", u)
@@ -242,23 +244,25 @@ def retract_to(rep, mu):
 def random_constrained(dim, mu, seed):
     """Haar-random pair retracted to constraint level mu; deterministic per seed.
 
-    At mu = 4 the constraint is vacuous and the raw Haar pair is returned.
+    At mu = 4 the constraint is vacuous and the raw Haar pair, unitary by QR, is returned.
     """
     mu = check_mu(mu)
     rng = np.random.default_rng(seed)
     u = haar_unitary(dim, rng)
     v = haar_unitary(dim, rng)
-    return retract_to(Representation(u, v), mu)
+    return retract_to(Representation._unchecked(u, v), mu)
 
 
 def zero_constrained_from(u):
-    """Complete a unitary U to a pair with constraint value zero.
+    """Check a unitary U, as the constructor does, and complete it to a pair
+    with constraint value zero.
 
     Sets V = fold(U) by functional calculus, for the circle map
     fold(z) = -Re z + i |Im z| (:func:`~constrep.homotopy.upper_fold`), so
     that V + V* = -(U + U*) and the constraint functional vanishes.
     """
-    return Representation(u, upper_fold_matrix(u))
+    u = _checked_image("u", u)
+    return Representation._unchecked(u, upper_fold_matrix(u))
 
 
 # --------------------------------------------------------------------------

@@ -72,12 +72,25 @@ def test_estimate_is_byte_deterministic():
         ("estimate", "-e", "u^" + "9" * 5000, "-m", "1"),
         ("estimate", "-e", "1e400*u", "-m", "1"),
         ("estimate", "-e", "1e308*u + 1e308*u", "-m", "1"),
+        ("estimate", "-e", "1e308*u + 1e308*v", "-m", "1"),
+        ("estimate", "-e", "(1.5e308+1.5e308i)*u", "-m", "1"),
+        ("estimate", "-e", "u", "-m", "1", "--dims", "a"),
     ],
 )
 def test_usage_errors_exit_two(args):
     result = run_cli(*args)
     assert result.returncode == 2
     assert len(result.stderr) < 1000  # the input is not echoed back
+    assert "Warning" not in result.stderr
+
+
+@pytest.mark.parametrize("dims", ["0", "-3", "2,0"])
+def test_nonpositive_dims_exit_one(dims, capsys):
+    # The same rule as --dims 129 or a config file's {"dims": [0]}.
+    assert cli.main(["estimate", "-e", "u", "-m", "1", "--dims", dims]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: dims entries must lie in [1, ")
 
 
 def test_verify_winding_suite():

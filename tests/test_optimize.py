@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import character, run_python
 
-from constrep import optimize
+from constrep import linalg, optimize, representation
 from constrep.freegroup import (
     GroupRingElement,
     Word,
@@ -626,6 +626,54 @@ def test_estimate_checks_its_witness(monkeypatch):
     config = OptimizerConfig(dims=(2,), restarts=1, max_steps=20, seed=0)
     with pytest.raises(NonUnitaryError):
         estimate_norm(parse_element("u + i*v - u*v^-1"), 4.0, config)
+
+
+def test_estimate_checks_unitarity_once_per_witness_image(monkeypatch):
+    # Matrices are checked where they enter; the Haar start, the retracted
+    # proposals and their eigendecompositions are not re-checked.
+    calls = []
+    original = linalg.unitarity_defect
+
+    def counting(w):
+        calls.append(w.shape)
+        return original(w)
+
+    for module in (linalg, representation, optimize):
+        monkeypatch.setattr(module, "unitarity_defect", counting, raising=False)
+    deforms = []
+    original_deform = representation.deform
+
+    def counting_deform(rep, t):
+        deforms.append(t)
+        return original_deform(rep, t)
+
+    monkeypatch.setattr(representation, "deform", counting_deform)
+    config = OptimizerConfig(dims=(2,), restarts=1, max_steps=30, seed=0)
+    est = estimate_norm(parse_element("u*v^2 - v^2*u + u^-1*v"), 0.5, config)
+    assert est.dim_used == 2 and est.steps > 0
+    assert len(deforms) > 2
+    assert calls == [(2, 2), (2, 2)]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{"u": float("nan")}, {"u": 1e308, "v": 1e308}, {"u": complex(1.5e308, 1.5e308)}],
+    ids=["nan", "l1_overflow", "modulus_overflow"],
+)
+def test_element_with_non_finite_l1_norm_is_rejected_before_any_grid(terms, monkeypatch):
+    def grid(element):
+        raise AssertionError("an oracle grid was built")
+
+    monkeypatch.setattr(optimize, "_oracle_grid", grid)
+    element = GroupRingElement({Word([(g, 1)]): c for g, c in terms.items()})
+    with pytest.raises(ValueError, match="finite l1 norm"):
+        estimate_norm(element, 1.0, OptimizerConfig(dims=(1, 2), restarts=1, max_steps=5))
+    with pytest.raises(ValueError, match="finite l1 norm"):
+        upper_bound(element, 1.0)
+    with pytest.raises(ValueError, match="finite l1 norm"):
+        one_dim_oracle(element, 1.0)
+    with pytest.raises(TypeError):
+        upper_bound("u", 1.0)
 
 
 def test_one_dim_oracle_on_averaging_element():

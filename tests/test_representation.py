@@ -8,6 +8,7 @@ from conftest import character, loop_calculus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from constrep import linalg
 from constrep.freegroup import averaging_element, generator, parse_element
 from constrep.homotopy import upper_fold_matrix
 from constrep.linalg import NonUnitaryError, random_unitary, unitarity_defect
@@ -244,6 +245,19 @@ def test_zero_constrained_random_inputs():
         assert constraint_value(rep) < 1e-9
         assert np.array_equal(rep.u, u)
         assert rep.v.tobytes() == upper_fold_matrix(u).tobytes()
+
+
+def test_zero_constrained_checks_u_before_decomposing(monkeypatch):
+    def decomposed(w):
+        raise AssertionError("a caller's matrix reached unitary_eig unchecked")
+
+    monkeypatch.setattr(linalg, "unitary_eig", decomposed)
+    with pytest.raises(NonUnitaryError, match="image of u is not unitary"):
+        zero_constrained_from(1.5 * np.eye(3))
+    with pytest.raises(ValueError, match="image of u has non-finite entries"):
+        zero_constrained_from(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="image of u must be a square matrix"):
+        zero_constrained_from(np.ones((2, 3)))
 
 
 def test_random_constrained_is_deterministic_and_feasible():
