@@ -107,21 +107,6 @@ def _add_optimizer_flags(parser):
     parser.add_argument(
         "--max-steps", type=int, default=None, help="ascent step cap per start"
     )
-    parser.add_argument(
-        "--initial-step", type=float, default=None, help="first ascent step size"
-    )
-    parser.add_argument(
-        "--step-decay",
-        type=float,
-        default=None,
-        help="per-step geometric decay of starts of dimension >= 2",
-    )
-    parser.add_argument(
-        "--stall-tolerance",
-        type=float,
-        default=None,
-        help="window improvement below which a start stops",
-    )
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument(
         "--config",
@@ -267,6 +252,7 @@ def _run_kesten(args):
 
 
 def _run_rep_gen(args):
+    optimize.check_seed(args.seed)
     rep = representation.random_constrained(args.dim, args.mu, seed=args.seed)
     representation.save_representation(rep, args.output)
     print(

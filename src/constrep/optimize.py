@@ -9,7 +9,7 @@ Every estimate also carries a certified upper bound (:func:`upper_bound`):
 the coefficient l1 norm, and for a radial element, whose coefficient depends
 only on word length, max |q(s)| over |s| <= mu, where the element is q(x)
 for x = u + u^-1 + v + v^-1 and spec pi(x) lies in [-mu, mu]. Once the best
-value reaches the upper bound to within ``stall_tolerance`` the bracket is
+value reaches the upper bound to within ``_STALL_TOLERANCE`` the bracket is
 closed and the search stops: the running start stops stepping and no
 further fresh start is built. Pool witnesses are still scored, without
 steps, so that a curve stays exactly monotone.
@@ -26,7 +26,7 @@ takes one such step per t letters, so neither time nor memory grows letter
 by letter. Steps multiply on the left by
 exp(i * step * G/||G||) and are followed by the exact retraction, so every
 iterate stays feasible. Only improving proposals are accepted, and at
-d >= 2 the step size decays geometrically, by ``step_decay`` after every
+d >= 2 the step size decays geometrically, by ``_STEP_DECAY`` after every
 proposal. The direction depends only on the current pair, so it and the
 eigendecompositions of G/||G|| are computed once per accepted point and
 reused, at a shorter step, after each rejected proposal.
@@ -41,7 +41,7 @@ the retraction applies the deformation circle map to both scalars at the
 level ``constraint_value`` computes for the 1 x 1 pair. This is the matrix
 ascent at d = 1 in scalar arithmetic, O(terms) per step whatever the word
 lengths. Its step grows 1.5x after an accepted proposal, up to
-``initial_step``, and halves after a rejected one, so a start that sits
+``_INITIAL_STEP``, and halves after a rejected one, so a start that sits
 within a step of a local maximum still climbs to it (a geometric decay
 stalls there once its steps overshoot the maximum). The loop and its stall
 and target rules are shared, and the start's value and the value of a moved
@@ -85,11 +85,18 @@ from .linalg import (
 MAX_DIMS = 16
 MAX_RESTARTS = 1000
 MAX_STEPS = 10_000
-_STALL_WINDOW = 25
-# The torus ascent's step: times _TORUS_GROWTH (capped at initial_step) after
-# an accepted proposal, times _TORUS_SHRINK after a rejected one.
+# The step and stop rules of every start. The first step is _INITIAL_STEP. At
+# d >= 2 the step is multiplied by _STEP_DECAY after every proposal; at d = 1,
+# on the torus, by _TORUS_GROWTH (capped at _INITIAL_STEP) after an accepted
+# proposal and by _TORUS_SHRINK after a rejected one. A start stops once its
+# value gained less than _STALL_TOLERANCE over the last _STALL_WINDOW
+# proposals, or came within _STALL_TOLERANCE of the upper bound.
+_INITIAL_STEP = 0.1
+_STEP_DECAY = 0.97
 _TORUS_GROWTH = 1.5
 _TORUS_SHRINK = 0.5
+_STALL_WINDOW = 25
+_STALL_TOLERANCE = 1e-7
 # Angles per generator in the 1-D torus oracle: steps of half a degree.
 ORACLE_GRID = 720
 _GRADIENT_FLOOR = 1e-14
@@ -108,12 +115,12 @@ _oracle_magnitude = None
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the multi-start ascent; defaults suit dimensions up to 8.
+    """How much the multi-start ascent searches; defaults suit dimensions up to 8.
 
-    Every start's first step is ``initial_step``. A start of dimension >= 2
-    multiplies its step by ``step_decay`` after every proposal; a
-    1-dimensional start grows an accepted step 1.5x, up to ``initial_step``,
-    and halves a rejected one.
+    ``dims`` and ``restarts`` set the fresh starts, ``max_steps`` caps each
+    start's steps and ``seed`` draws the starts. How a start steps and when
+    it stops are the module's rules (``_INITIAL_STEP`` and its neighbours),
+    not settings.
 
     The constructor is the one check for flags, config files and library
     callers alike: it rejects what the ascent cannot run, and any size over
@@ -125,9 +132,6 @@ class OptimizerConfig:
     dims: tuple = (1, 2, 4, 8)
     restarts: int = 16
     max_steps: int = 500
-    initial_step: float = 0.1
-    step_decay: float = 0.97
-    stall_tolerance: float = 1e-7
     seed: int = 0
 
     def __post_init__(self):
@@ -140,22 +144,13 @@ class OptimizerConfig:
         if any(not 1 <= d <= MAX_DIM for d in dims):
             raise ValueError(f"dims entries must lie in [1, {MAX_DIM}], got {dims}")
         object.__setattr__(self, "dims", dims)
-        for name in ("restarts", "max_steps", "seed"):
+        for name in ("restarts", "max_steps"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        for name in ("initial_step", "step_decay", "stall_tolerance"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if not 1 <= self.restarts <= MAX_RESTARTS:
             raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {self.restarts}")
         if not 1 <= self.max_steps <= MAX_STEPS:
             raise ValueError(f"max_steps must lie in [1, {MAX_STEPS}], got {self.max_steps}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if not (0.0 < self.initial_step):
-            raise ValueError("initial_step must be positive")
-        if not (0.0 < self.step_decay <= 1.0):
-            raise ValueError("step_decay must lie in (0, 1]")
-        if self.stall_tolerance <= 0:
-            raise ValueError("stall_tolerance must be positive")
 
 
 def _integer(name, value):
@@ -168,17 +163,16 @@ def _integer(name, value):
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _finite(name, value):
-    """``value`` as a finite float; bools and strings are rejected."""
-    if not isinstance(value, (bool, str)):
-        try:
-            number = float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-        else:
-            if math.isfinite(number):
-                return number
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
+def check_seed(seed):
+    """Validate a master seed; returns it as a non-negative int.
+
+    The one rule for every command's ``--seed``: the config checks its own,
+    and ``verify`` and ``rep-gen`` check theirs before anything is drawn.
+    """
+    seed = _integer("seed", seed)
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    return seed
 
 
 def _check_element(element):
@@ -195,8 +189,9 @@ def _check_element(element):
 class NormEstimate:
     """Certified bracket [value, upper] for one element and level.
 
-    ``value`` equals the computed operator norm of the witness image;
-    ``upper`` is :func:`upper_bound` of the element; ``restart_index`` is
+    ``value`` equals the computed operator norm of the witness image, and
+    ``dim_used`` is the witness's dimension; ``upper`` is
+    :func:`upper_bound` of the element; ``restart_index`` is
     the index of the winning start in the deterministic candidate order
     (oracle argmax, pool entries, fresh starts). ``converged`` is true when
     the winning start stalled or the bracket closed.
@@ -204,11 +199,14 @@ class NormEstimate:
 
     value: float
     witness: Representation
-    dim_used: int
     restart_index: int
     steps: int
     converged: bool
     upper: float
+
+    @property
+    def dim_used(self):
+        return self.witness.dim
 
     @property
     def gap(self):
@@ -535,14 +533,14 @@ def _subgradient(element, rep, left, right, tables):
     return direction("u"), direction("v")
 
 
-def _matrix_moves(element, mu, config):
+def _matrix_moves(element, mu):
     """(score, direction, propose, next_step) of the ascent on pairs of d x d unitaries.
 
     score(pair) is (value, point) with point = (pair, left, right, tables);
     direction(point) is the eigendecompositions of G_u/s and G_v/s, or None
     when s = ||(G_u, G_v)|| is below the floor; propose(point, direction,
     step) is the pair (exp(i step G_u/s) U, exp(i step G_v/s) V), retracted;
-    next_step(step, accepted) is step * ``step_decay`` either way.
+    next_step(step, accepted) is step * ``_STEP_DECAY`` either way.
     """
 
     def score(rep):
@@ -571,7 +569,7 @@ def _matrix_moves(element, mu, config):
         return retract_to(proposal, mu)
 
     def next_step(step, accepted):
-        return step * config.step_decay
+        return step * _STEP_DECAY
 
     return score, direction, propose, next_step
 
@@ -625,13 +623,13 @@ def _torus_retraction(z, scale):
     return complex(c, 0.0 - s)
 
 
-def _torus_moves(element, mu, config):
+def _torus_moves(element, mu):
     """(score, direction, propose, next_step) of the ascent on 1-dimensional
     pairs: score, direction and propose as :func:`_matrix_moves` computes
     them at d = 1, in scalar arithmetic.
 
     A pair is (z_u, z_v); a point is :func:`_torus_objective`'s. next_step
-    grows an accepted step by ``_TORUS_GROWTH``, up to ``initial_step``, and
+    grows an accepted step by ``_TORUS_GROWTH``, up to ``_INITIAL_STEP``, and
     shrinks a rejected one by ``_TORUS_SHRINK``.
     """
     terms = _torus_terms(element)
@@ -657,7 +655,7 @@ def _torus_moves(element, mu, config):
 
     def next_step(step, accepted):
         if accepted:
-            return min(_TORUS_GROWTH * step, config.initial_step)
+            return min(_TORUS_GROWTH * step, _INITIAL_STEP)
         return step * _TORUS_SHRINK
 
     return score, direction, propose, next_step
@@ -669,8 +667,9 @@ def _ascend(element, mu, start, config, target=np.inf):
     Returns (value, witness, steps, converged). The best value is monotone
     and the ascent stops stepping once it reaches ``target``; a target of
     -inf scores the start without a step. Convergence means the target was
-    reached, the trailing 25-iteration window improved the value by less
-    than the stall tolerance, or the gradient vanished.
+    reached, the trailing ``_STALL_WINDOW`` proposals improved the value by
+    less than ``_STALL_TOLERANCE``, or the gradient vanished. ``config``
+    gives the step cap.
 
     The moves, the step rule included, come from the start's geometry. A
     1-dimensional start steps on the torus (:func:`_torus_moves`); its
@@ -681,14 +680,14 @@ def _ascend(element, mu, start, config, target=np.inf):
     if start_value >= target:
         return start_value, start, 0, True
     if start.dim == 1:
-        score, direction_at, propose, next_step = _torus_moves(element, mu, config)
+        score, direction_at, propose, next_step = _torus_moves(element, mu)
         value, point = score((complex(start.u[0, 0]), complex(start.v[0, 0])))
     else:
-        score, direction_at, propose, next_step = _matrix_moves(element, mu, config)
+        score, direction_at, propose, next_step = _matrix_moves(element, mu)
         value, point = start_value, (start, left, right, tables)
     origin = point
     history = [value]
-    step = config.initial_step
+    step = _INITIAL_STEP
     converged = False
     steps = 0
     # The direction depends only on the point; a rejected proposal keeps it.
@@ -711,7 +710,7 @@ def _ascend(element, mu, start, config, target=np.inf):
         step = next_step(step, accepted)
         history.append(value)
         if len(history) > _STALL_WINDOW:
-            if history[-1] - history[-1 - _STALL_WINDOW] < config.stall_tolerance:
+            if history[-1] - history[-1 - _STALL_WINDOW] < _STALL_TOLERANCE:
                 converged = True
                 break
     converged = converged or value >= target
@@ -759,7 +758,7 @@ def estimate_norm(element, mu, config=None, pool=()):
 
     Ascends from the candidate starts in order and keeps the best final
     value; exact ties go to the earliest candidate, so results are
-    reproducible. Every start stops stepping at ``upper - stall_tolerance``.
+    reproducible. Every start stops stepping at ``upper - _STALL_TOLERANCE``.
     Once the best value reaches it the bracket is closed: no further fresh
     start is built, and the remaining pool witnesses are scored at their
     start value without steps. They are still scored because a witness of a
@@ -772,7 +771,7 @@ def estimate_norm(element, mu, config=None, pool=()):
     upper = upper_bound(element, mu)  # checks the element
     if element.is_zero:
         raise ValueError("cannot estimate the norm of the zero element")
-    target = upper - config.stall_tolerance
+    target = upper - _STALL_TOLERANCE
     n_before_fresh = (1 in config.dims) + len(pool)
     stop = target
     best, best_index = None, 0
@@ -791,7 +790,6 @@ def estimate_norm(element, mu, config=None, pool=()):
     return NormEstimate(
         value=value,
         witness=witness,
-        dim_used=witness.dim,
         restart_index=best_index,
         steps=steps,
         converged=converged,

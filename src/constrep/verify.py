@@ -434,7 +434,12 @@ SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name, seed=0):
-    """Run one suite (or ``all``) and return the list of check results."""
+    """Run one suite (or ``all``) and return the list of check results.
+
+    ``seed`` is checked first, by the one rule for seeds, even where no
+    suite reads it.
+    """
+    optimize.check_seed(seed)
     if name == "all":
         return [result for suite in _SUITES.values() for result in suite(seed)]
     if name not in _SUITES:

@@ -1,6 +1,7 @@
 """End-to-end command line behavior through ``python -m constrep``, and
 through ``cli.main`` where a test times the command."""
 
+import dataclasses
 import json
 import time
 import tracemalloc
@@ -42,7 +43,7 @@ def test_estimate_bracket_at_zero_is_not_inverted():
     # the gap is upper - value, unclamped, so an inverted bracket would show
     fields = dict(line.split(": ") for line in result.stdout.splitlines())
     assert float(fields["gap"]) == float(fields["upper"]) - float(fields["norm_estimate"])
-    inverted = NormEstimate(1.0, character(0.0, 0.0), 1, 0, 0, True, upper=0.5)
+    inverted = NormEstimate(1.0, character(0.0, 0.0), 0, 0, True, upper=0.5)
     assert inverted.gap == -0.5
 
 
@@ -75,6 +76,9 @@ def test_estimate_is_byte_deterministic():
         ("estimate", "-e", "1e308*u + 1e308*v", "-m", "1"),
         ("estimate", "-e", "(1.5e308+1.5e308i)*u", "-m", "1"),
         ("estimate", "-e", "u", "-m", "1", "--dims", "a"),
+        ("estimate", "-e", "u", "-m", "1", "--initial-step", "0.2"),
+        ("estimate", "-e", "u", "-m", "1", "--step-decay", "0.9"),
+        ("estimate", "-e", "u", "-m", "1", "--stall-tolerance", "1e-6"),
     ],
 )
 def test_usage_errors_exit_two(args):
@@ -199,8 +203,14 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     config = tmp_path / "config.json"
-    # The oracle grid is fixed, so its old key is unknown too.
-    for payload in ({"restrats": 2}, {"oracle_grid": 720}):
+    # The oracle grid and the step and stop rules are fixed, so their old
+    # keys are unknown too, whatever their value.
+    for payload in (
+        {"restrats": 2},
+        {"oracle_grid": 720},
+        {"stall_tolerance": float("nan")},
+        {"initial_step": float("inf")},
+    ):
         config.write_text(json.dumps(payload))
         result = run_cli("estimate", "-e", "u", "-m", "2", "--config", str(config))
         assert result.returncode == 1
@@ -215,8 +225,6 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         {"max_steps": 2.7},
         {"dims": [1.9]},
         {"dims": [1, MAX_DIM + 1]},
-        {"stall_tolerance": float("nan")},
-        {"initial_step": float("inf")},
     ],
     ids=lambda payload: json.dumps(payload),
 )
@@ -228,6 +236,43 @@ def test_config_file_rejects_values_it_cannot_run(tmp_path, payload):
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args, own",
+    [
+        (["estimate", "-e", "u", "-m", "1"], {"command", "element", "mu"}),
+        (["curve", "-e", "u"], {"command", "element", "grid", "csv", "svg"}),
+    ],
+    ids=["estimate", "curve"],
+)
+def test_optimizer_flags_are_the_config_fields(args, own):
+    # One flag per OptimizerConfig field, plus --config; nothing else.
+    flags = set(vars(cli.build_parser().parse_args(args))) - own
+    fields = {field.name for field in dataclasses.fields(optimize.OptimizerConfig)}
+    assert flags == fields | {"config"}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--suite", "winding"],
+        ["verify", "--suite", "deformation"],
+        ["verify", "--suite", "all"],
+        ["rep-gen", "-d", "2", "-m", "1", "-o", "pair.json"],
+        ["estimate", "-e", "u", "-m", "1"],
+    ],
+    ids=["verify_winding", "verify_deformation", "verify_all", "rep_gen", "estimate"],
+)
+def test_negative_seed_exits_one_before_running(args, capsys, tmp_path, monkeypatch):
+    # The same rule and message for every command, whether or not the
+    # command's work reads the seed.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*args, "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be non-negative\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_config_file_is_a_runtime_error():

@@ -54,10 +54,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(step_decay=1.5)
-    with pytest.raises(ValueError):
-        OptimizerConfig(initial_step=0.0)
-    with pytest.raises(ValueError):
         OptimizerConfig(max_steps=0)
     # The constructor is the one rule: no truncation, no late TypeError.
     for bad in (
@@ -70,17 +66,12 @@ def test_config_validation():
         {"restarts": "3"},
         {"seed": -1},
         {"seed": False},
-        {"stall_tolerance": math.nan},
-        {"initial_step": math.inf},
-        {"step_decay": "0.9"},
-        {"initial_step": None},
     ):
         with pytest.raises(ValueError):
             OptimizerConfig(**bad)
-    config = OptimizerConfig(dims=[np.int64(2), 1], max_steps=np.int64(7), initial_step=1)
+    config = OptimizerConfig(dims=[np.int64(2), 1], max_steps=np.int64(7))
     assert config.dims == (2, 1)
     assert type(config.max_steps) is int and config.max_steps == 7
-    assert type(config.initial_step) is float and config.initial_step == 1.0
     # Every size is accepted up to its cap, and dims reads one entry past it.
     config = OptimizerConfig(
         dims=(MAX_DIM,) * optimize.MAX_DIMS,
@@ -181,15 +172,15 @@ def test_subgradient_of_identity_only_element_is_zero():
     assert not g_v.any()
 
 
-def _geometric_step(step, accepted, config):
-    """The d >= 2 step rule: times ``step_decay`` after every proposal."""
-    return step * config.step_decay
+def _geometric_step(step, accepted):
+    """The d >= 2 step rule: times ``_STEP_DECAY`` after every proposal."""
+    return step * optimize._STEP_DECAY
 
 
-def _torus_step(step, accepted, config):
+def _torus_step(step, accepted):
     """The d = 1 step rule: 1.5x after an accepted proposal, capped at
-    ``initial_step``, and half after a rejected one."""
-    return min(1.5 * step, config.initial_step) if accepted else 0.5 * step
+    ``_INITIAL_STEP``, and half after a rejected one."""
+    return min(1.5 * step, optimize._INITIAL_STEP) if accepted else 0.5 * step
 
 
 def _reference_ascent(element, mu, start, config):
@@ -200,7 +191,7 @@ def _reference_ascent(element, mu, start, config):
     current = start
     value, left, right, tables = optimize._objective(element, current)
     history = [value]
-    step = config.initial_step
+    step = optimize._INITIAL_STEP
     steps, converged, rejected = 0, False, 0
     for k in range(1, config.max_steps + 1):
         g_u, g_v = optimize._subgradient(element, current, left, right, tables)
@@ -221,9 +212,9 @@ def _reference_ascent(element, mu, start, config):
         else:
             rejected += 1
         steps = k
-        step = next_step(step, accepted, config)
+        step = next_step(step, accepted)
         history.append(value)
-        if len(history) > 25 and history[-1] - history[-26] < config.stall_tolerance:
+        if len(history) > 25 and history[-1] - history[-26] < optimize._STALL_TOLERANCE:
             converged = True
             break
     return (value, current, steps, converged), rejected
@@ -243,7 +234,7 @@ def _reference_torus_ascent(element, mu, start, config, next_step=_torus_step):
     start_value = optimize._objective(element, start)[0]
     value, point = optimize._torus_objective(terms, complex(start.u[0, 0]), complex(start.v[0, 0]))
     history = [value]
-    step = config.initial_step
+    step = optimize._INITIAL_STEP
     steps, converged, rejected, moved = 0, False, 0, False
     for k in range(1, config.max_steps + 1):
         g_u, g_v = optimize._torus_gradient(terms, point)
@@ -263,9 +254,9 @@ def _reference_torus_ascent(element, mu, start, config, next_step=_torus_step):
         else:
             rejected += 1
         steps = k
-        step = next_step(step, accepted, config)
+        step = next_step(step, accepted)
         history.append(value)
-        if len(history) > 25 and history[-1] - history[-26] < config.stall_tolerance:
+        if len(history) > 25 and history[-1] - history[-26] < optimize._STALL_TOLERANCE:
             converged = True
             break
     if moved:
@@ -279,14 +270,15 @@ def _reference_torus_ascent(element, mu, start, config, next_step=_torus_step):
 @pytest.mark.parametrize("dim", [1, 2, 4], ids="d{}".format)
 @pytest.mark.parametrize("initial_step", [0.1, 0.3], ids="step{}".format)
 @pytest.mark.parametrize("kind", ["long", "short"])
-def test_ascent_matches_per_step_direction_bit_for_bit(kind, initial_step, dim):
+def test_ascent_matches_per_step_direction_bit_for_bit(kind, initial_step, dim, monkeypatch):
     # d = 1 ascends on the torus, d >= 2 on the unitary group.
     reference = _reference_torus_ascent if dim == 1 else _reference_ascent
     if kind == "long":
         element = _long_word_element(1)
     else:
         element = parse_element("u + i*v - u*v^-1")
-    config = OptimizerConfig(max_steps=60, initial_step=initial_step)
+    monkeypatch.setattr(optimize, "_INITIAL_STEP", initial_step)
+    config = OptimizerConfig(max_steps=60)
     start = random_constrained(dim, 2.5, seed=10 + dim)
     (value, witness, steps, converged), rejected = reference(
         element, 2.5, start, config
@@ -331,8 +323,8 @@ def test_torus_ascent_matches_the_matrix_ascent(monkeypatch):
     """
     moves, proposals, decisions = optimize._torus_moves, [], []
 
-    def logged_moves(element, mu, config):
-        score, direction, propose, next_step = moves(element, mu, config)
+    def logged_moves(element, mu):
+        score, direction, propose, next_step = moves(element, mu)
 
         def logged_propose(point, direction, step):
             pair = propose(point, direction, step)
@@ -347,8 +339,9 @@ def test_torus_ascent_matches_the_matrix_ascent(monkeypatch):
 
     monkeypatch.setattr(optimize, "_torus_moves", logged_moves)
     moved = 0
+    config = OptimizerConfig(max_steps=60)
     for element, mu, start, initial_step in _one_dim_starts():
-        config = OptimizerConfig(max_steps=60, initial_step=initial_step)
+        monkeypatch.setattr(optimize, "_INITIAL_STEP", initial_step)
         (_, _, steps, converged), rejected = _reference_ascent(element, mu, start, config)
         proposals.clear()
         decisions.clear()
@@ -356,7 +349,7 @@ def test_torus_ascent_matches_the_matrix_ascent(monkeypatch):
         assert got[2] == steps
         assert got[3] == converged
         assert decisions.count(False) == rejected
-        score, direction, propose, _ = optimize._matrix_moves(element, mu, config)
+        score, direction, propose, _ = optimize._matrix_moves(element, mu)
         for point, step, (z_u, z_v) in proposals:
             value, matrix_point = score(_scalar_pair(point[0], point[1]))
             assert abs(abs(point[2]) - value) <= 1e-12 * max(1.0, value)
@@ -405,7 +398,8 @@ def test_ascent_computes_direction_once_per_accepted_point(monkeypatch):
     monkeypatch.setattr(optimize, "_subgradient", logged_subgradient)
     monkeypatch.setattr(optimize, "_objective", logged_objective)
     element = _long_word_element(1)
-    config = OptimizerConfig(max_steps=60, initial_step=0.3)
+    monkeypatch.setattr(optimize, "_INITIAL_STEP", 0.3)
+    config = OptimizerConfig(max_steps=60)
     for dim in (2, 4):
         events.clear()
         start = random_constrained(dim, 2.5, seed=10 + dim)
@@ -432,7 +426,8 @@ def test_torus_ascent_computes_direction_once_per_accepted_point(monkeypatch):
     monkeypatch.setattr(optimize, "_torus_gradient", logged_gradient)
     monkeypatch.setattr(optimize, "_torus_objective", logged_objective)
     element = _long_word_element(1)
-    config = OptimizerConfig(max_steps=60, initial_step=0.3)
+    monkeypatch.setattr(optimize, "_INITIAL_STEP", 0.3)
+    config = OptimizerConfig(max_steps=60)
     start = random_constrained(1, 2.5, seed=11)
     value, witness, steps, _ = optimize._ascend(element, 2.5, start, config)
     assert events[0][1][:2] == (start.u[0, 0], start.v[0, 0])
@@ -479,7 +474,7 @@ def test_torus_level_is_the_constraint_value_bit_for_bit():
 
 
 def test_torus_retraction_at_level_zero_lands_on_positive_zero():
-    _, _, propose, _ = optimize._torus_moves(parse_element("u + 2*v"), 0.0, OptimizerConfig())
+    _, _, propose, _ = optimize._torus_moves(parse_element("u + 2*v"), 0.0)
     for seed in range(50):
         start = random_constrained(1, 4.0, seed=seed)
         point = (complex(start.u[0, 0]), complex(start.v[0, 0]))
@@ -1131,8 +1126,8 @@ def test_upper_bound_closed_forms():
     for mu in (1.0, 2.5, 3.5):
         result = estimate_norm(x * x - 4, mu)
         assert result.upper == upper_bound(x * x - 4, mu)
-        assert result.value >= result.upper - OptimizerConfig().stall_tolerance
-        assert result.gap <= OptimizerConfig().stall_tolerance
+        assert result.value >= result.upper - optimize._STALL_TOLERANCE
+        assert result.gap <= optimize._STALL_TOLERANCE
         assert result.converged
 
 
@@ -1220,7 +1215,7 @@ def test_open_bracket_runs_every_start():
     mu = 1.0
     pool = (random_constrained(2, 0.5, seed=3),)
     result = estimate_norm(element, mu, SMALL, pool=pool)
-    assert result.value < result.upper - SMALL.stall_tolerance
+    assert result.value < result.upper - optimize._STALL_TOLERANCE
 
     starts = list(optimize._candidate_starts(element, mu, SMALL, pool))
     assert len(starts) == 1 + len(pool) + len(SMALL.dims) * SMALL.restarts
@@ -1254,7 +1249,7 @@ def test_closed_bracket_builds_no_fresh_start(monkeypatch):
 def test_oracle_start_closes_an_off_grid_bracket(monkeypatch):
     # |u + c v| reaches 2 = l1 where theta - phi = arg c = 0.927 rad, which
     # is no multiple of the grid's half degree: the oracle start is 1.3e-6
-    # short, and must climb to within stall_tolerance with no fresh start.
+    # short, and must climb to within _STALL_TOLERANCE with no fresh start.
     calls = []
     original = optimize.random_constrained
 
@@ -1269,16 +1264,17 @@ def test_oracle_start_closes_an_off_grid_bracket(monkeypatch):
         assert one_dim_oracle(element, mu) < upper_bound(element, mu) - 1e-6
         result = estimate_norm(element, mu, config)
         assert result.restart_index == 0 and result.steps > 0
-        assert result.gap <= config.stall_tolerance
+        assert result.gap <= optimize._STALL_TOLERANCE
     assert calls == []
 
 
-def test_pool_witness_wins_after_bracket_closes():
+def test_pool_witness_wins_after_bracket_closes(monkeypatch):
     # A wide tolerance closes the bracket at the oracle start; the pool
     # witness sits exactly on the level and must still be scored, unstepped.
     x = averaging_element()
     mu = 0.9
-    config = OptimizerConfig(stall_tolerance=0.1)
+    monkeypatch.setattr(optimize, "_STALL_TOLERANCE", 0.1)
+    config = OptimizerConfig()
     witness = character(math.acos(0.45), math.pi / 2)
     pool_value = operator_norm(evaluate(witness, x))
     assert one_dim_oracle(x, mu) < pool_value <= mu + 1e-12
@@ -1295,10 +1291,10 @@ def test_averaging_curve_closes_every_bracket():
     curve = norm_curve(x, grid, config)
     values = np.asarray(curve.values)
     assert np.all(np.diff(values) >= 0.0)
-    assert np.max(np.abs(values - grid)) <= config.stall_tolerance
+    assert np.max(np.abs(values - grid)) <= optimize._STALL_TOLERANCE
     for i, estimate in enumerate(curve.estimates):
         assert estimate.upper == pytest.approx(grid[i], abs=1e-12)
-        assert estimate.gap <= config.stall_tolerance
+        assert estimate.gap <= optimize._STALL_TOLERANCE
         assert estimate.converged
         # Candidates 1..i are the earlier witnesses, reused unchanged; the
         # winner is never below the best of them.

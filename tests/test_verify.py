@@ -5,6 +5,7 @@ map of check names stay in step with the code.
 """
 
 import ast
+import dataclasses
 import re
 from fnmatch import fnmatchcase
 from types import SimpleNamespace
@@ -88,6 +89,27 @@ def test_public_names_have_a_reader_outside_tests():
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)
     assert sorted(set(constrep.__all__) - read - _AWAITING_READER) == []
+
+
+def test_optimizer_config_fields_are_set_outside_tests():
+    """Every ``OptimizerConfig`` field is passed by keyword in some call of
+    ``OptimizerConfig`` by the verify suites, a demo or the benchmark
+    harness. A field that no such caller sets is a rule, not a setting, and
+    belongs in the code as a constant."""
+    paths = [ROOT / "src" / "constrep" / "verify.py"]
+    for folder in ("demos", "perfbench"):
+        paths.extend((ROOT / folder).rglob("*.py"))
+    passed = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "OptimizerConfig":
+                passed.update(keyword.arg for keyword in node.keywords)
+    fields = {field.name for field in dataclasses.fields(OptimizerConfig)}
+    assert sorted(fields - passed) == []
 
 
 def test_unknown_suite_is_rejected():
