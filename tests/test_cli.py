@@ -208,8 +208,8 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     for payload in (
         {"restrats": 2},
         {"oracle_grid": 720},
-        {"stall_tolerance": float("nan")},
-        {"initial_step": float("inf")},
+        {"stall_tolerance": 1e-9},
+        {"initial_step": 0.5},
     ):
         config.write_text(json.dumps(payload))
         result = run_cli("estimate", "-e", "u", "-m", "2", "--config", str(config))
@@ -225,6 +225,8 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         {"max_steps": 2.7},
         {"dims": [1.9]},
         {"dims": [1, MAX_DIM + 1]},
+        {"stall_tolerance": float("nan")},
+        {"initial_step": float("inf")},
     ],
     ids=lambda payload: json.dumps(payload),
 )
