@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 
@@ -29,10 +28,6 @@ from .freegroup import ParseError, format_element, parse_element
 MAX_GRID_POINTS = 10001
 # kesten rows print 2 * 3**R - 1; Python prints no int of over 4300 digits.
 MAX_KESTEN_DEPTH = 1000
-
-_CONFIG_KEYS = tuple(
-    field.name for field in dataclasses.fields(optimize.OptimizerConfig)
-)
 
 
 def _element_arg(text):
@@ -50,11 +45,10 @@ def _mu_arg(text):
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad constraint level: {text!r}") from exc
-    if not 0.0 <= value <= 4.0:
-        raise argparse.ArgumentTypeError(
-            f"constraint level must lie in [0, 4], got {value}"
-        )
-    return value
+    try:
+        return representation.check_mu(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _dims_arg(text):
@@ -108,37 +102,16 @@ def _add_optimizer_flags(parser):
         "--max-steps", type=int, default=None, help="ascent step cap per start"
     )
     parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument(
-        "--config",
-        default=None,
-        help="JSON file with optimizer settings; flags override it",
-    )
 
 
 def _optimizer_config(args):
-    from_file = {}
-    if getattr(args, "config", None) is not None:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict):
-            raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(data) - set(_CONFIG_KEYS))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        from_file = data
-
-    defaults = optimize.OptimizerConfig()
-
-    def pick(name):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in from_file:
-            return from_file[name]
-        return getattr(defaults, name)
-
-    # The constructor validates file values and flags alike.
-    return optimize.OptimizerConfig(**{name: pick(name) for name in _CONFIG_KEYS})
+    # Each flag left out keeps its default; the constructor checks them all.
+    given = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(optimize.OptimizerConfig)
+        if getattr(args, field.name) is not None
+    }
+    return optimize.OptimizerConfig(**given)
 
 
 def build_parser():
@@ -276,7 +249,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _RUNNERS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -67,6 +67,11 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):
+        # Copies and pickles rebuild through the constructor, past the power
+        # check: a merged run such as u^65536*u holds power 65537.
+        return _word_from_syllables, (self.syllables,)
+
     @classmethod
     def identity(cls):
         return cls()
@@ -125,6 +130,10 @@ class Word:
         return "*".join(factors) or "1"
 
 
+def _word_from_syllables(syllables):
+    return Word(syllables, _checked=True)
+
+
 class GroupRingElement:
     """A finite complex combination of reduced words.
 
@@ -149,6 +158,9 @@ class GroupRingElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupRingElement is immutable")
+
+    def __reduce__(self):
+        return GroupRingElement, (self.terms,)
 
     @classmethod
     def from_scalar(cls, value):

@@ -122,11 +122,11 @@ class OptimizerConfig:
     it stops are the module's rules (``_INITIAL_STEP`` and its neighbours),
     not settings.
 
-    The constructor is the one check for flags, config files and library
-    callers alike: it rejects what the ascent cannot run, and any size over
-    its cap, with ``ValueError``, and stores ints and floats. The 1-D oracle
-    start scans the fixed ``ORACLE_GRID`` whatever the config, so its cost
-    is bounded.
+    The constructor is the one check for flags and library callers alike:
+    it rejects what the ascent cannot run, any size over its cap and a
+    repeated size (whose starts would rerun the same seeds), with
+    ``ValueError``, and stores ints. The 1-D oracle start scans the fixed
+    ``ORACLE_GRID`` whatever the config, so its cost is bounded.
     """
 
     dims: tuple = (1, 2, 4, 8)
@@ -143,6 +143,8 @@ class OptimizerConfig:
             raise ValueError(f"dims must hold 1 to {MAX_DIMS} sizes")
         if any(not 1 <= d <= MAX_DIM for d in dims):
             raise ValueError(f"dims entries must lie in [1, {MAX_DIM}], got {dims}")
+        if len(set(dims)) < len(dims):
+            raise ValueError(f"dims entries must be distinct, got {dims}")
         object.__setattr__(self, "dims", dims)
         for name in ("restarts", "max_steps"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))

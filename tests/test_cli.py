@@ -2,7 +2,6 @@
 through ``cli.main`` where a test times the command."""
 
 import dataclasses
-import json
 import time
 import tracemalloc
 
@@ -79,6 +78,8 @@ def test_estimate_is_byte_deterministic():
         ("estimate", "-e", "u", "-m", "1", "--initial-step", "0.2"),
         ("estimate", "-e", "u", "-m", "1", "--step-decay", "0.9"),
         ("estimate", "-e", "u", "-m", "1", "--stall-tolerance", "1e-6"),
+        ("estimate", "-e", "u", "-m", "2", "--config", "c.json"),
+        ("curve", "-e", "u", "--config", "c.json"),
     ],
 )
 def test_usage_errors_exit_two(args):
@@ -90,7 +91,7 @@ def test_usage_errors_exit_two(args):
 
 @pytest.mark.parametrize("dims", ["0", "-3", "2,0"])
 def test_nonpositive_dims_exit_one(dims, capsys):
-    # The same rule as --dims 129 or a config file's {"dims": [0]}.
+    # The same rule as --dims 129 or a library caller's dims=(0,).
     assert cli.main(["estimate", "-e", "u", "-m", "1", "--dims", dims]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -186,60 +187,6 @@ def test_kesten_prints_every_row_up_to_its_cap(capsys):
     assert lines[-2].split()[:2] == [str(depth), str(2 * 3**depth - 1)]
 
 
-def test_config_file_with_flag_override(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"dims": [1], "restarts": 2, "max_steps": 50}))
-    result = run_cli("estimate", "-e", "u", "-m", "2", "--config", str(config))
-    assert result.returncode == 0
-    assert "dim: 1" in result.stdout
-
-    # explicit flag wins over the file
-    override = run_cli(
-        "estimate", "-e", "u", "-m", "2", "--config", str(config), "--dims", "2"
-    )
-    assert override.returncode == 0
-    assert "dim: 2" in override.stdout
-
-
-def test_config_file_rejects_unknown_keys(tmp_path):
-    config = tmp_path / "config.json"
-    # The oracle grid and the step and stop rules are fixed, so their old
-    # keys are unknown too, whatever their value.
-    for payload in (
-        {"restrats": 2},
-        {"oracle_grid": 720},
-        {"stall_tolerance": 1e-9},
-        {"initial_step": 0.5},
-    ):
-        config.write_text(json.dumps(payload))
-        result = run_cli("estimate", "-e", "u", "-m", "2", "--config", str(config))
-        assert result.returncode == 1
-        assert "unknown config keys" in result.stderr
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        {"dims": 4},
-        {"dims": "12"},
-        {"max_steps": 2.7},
-        {"dims": [1.9]},
-        {"dims": [1, MAX_DIM + 1]},
-        {"stall_tolerance": float("nan")},
-        {"initial_step": float("inf")},
-    ],
-    ids=lambda payload: json.dumps(payload),
-)
-def test_config_file_rejects_values_it_cannot_run(tmp_path, payload):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(payload))
-    result = run_cli("estimate", "-e", "u", "-m", "2", "--config", str(config))
-    assert result.returncode == 1
-    assert result.stderr.startswith("error: ")
-    assert "Traceback" not in result.stderr
-    assert result.stdout == ""
-
-
 @pytest.mark.parametrize(
     "args, own",
     [
@@ -249,10 +196,10 @@ def test_config_file_rejects_values_it_cannot_run(tmp_path, payload):
     ids=["estimate", "curve"],
 )
 def test_optimizer_flags_are_the_config_fields(args, own):
-    # One flag per OptimizerConfig field, plus --config; nothing else.
+    # One flag per OptimizerConfig field; nothing else.
     flags = set(vars(cli.build_parser().parse_args(args))) - own
     fields = {field.name for field in dataclasses.fields(optimize.OptimizerConfig)}
-    assert flags == fields | {"config"}
+    assert flags == fields
 
 
 @pytest.mark.parametrize(
@@ -275,11 +222,6 @@ def test_negative_seed_exits_one_before_running(args, capsys, tmp_path, monkeypa
     assert captured.out == ""
     assert captured.err == "error: seed must be non-negative\n"
     assert list(tmp_path.iterdir()) == []
-
-
-def test_missing_config_file_is_a_runtime_error():
-    result = run_cli("estimate", "-e", "u", "-m", "2", "--config", "/no/such/file")
-    assert result.returncode == 1
 
 
 @pytest.mark.parametrize(

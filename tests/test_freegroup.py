@@ -1,5 +1,7 @@
 """Words, group-ring arithmetic, parsing, and canonical printing."""
 
+import copy
+import pickle
 import random
 import tracemalloc
 
@@ -227,6 +229,23 @@ def test_long_runs_print_as_factors_that_parse():
         a = parse_element(text)
         assert format_element(a) == printed
         assert parse_element(format_element(a)) == a
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_words_and_elements_copy_and_pickle(clone):
+    # u^65536*u merges into one run of power 65537, past the parser's cap.
+    a = parse_element("u^65536*u - 2*v")
+    b = clone(a)
+    assert b == a
+    assert list(b.terms.items()) == list(a.terms.items())
+    assert [len(word) for word in b.terms] == [len(word) for word in a.terms] == [65537, 1]
+    word = Word([("u", 2), ("v", -1)])
+    assert clone(word) == word and len(clone(word)) == 3
+    assert clone(Word.identity()).is_identity
 
 
 def test_parse_cost_is_per_syllable():

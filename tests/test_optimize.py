@@ -1,8 +1,10 @@
 """Constrained norm estimation: oracles, brackets, ascent, determinism, curves."""
 
 import cmath
+import copy
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -73,12 +75,17 @@ def test_config_validation():
     assert config.dims == (2, 1)
     assert type(config.max_steps) is int and config.max_steps == 7
     # Every size is accepted up to its cap, and dims reads one entry past it.
+    at_cap = tuple(range(MAX_DIM - optimize.MAX_DIMS + 1, MAX_DIM + 1))
     config = OptimizerConfig(
-        dims=(MAX_DIM,) * optimize.MAX_DIMS,
+        dims=at_cap,
         restarts=optimize.MAX_RESTARTS,
         max_steps=optimize.MAX_STEPS,
     )
-    assert config.dims == (MAX_DIM,) * optimize.MAX_DIMS
+    assert config.dims == at_cap and len(at_cap) == optimize.MAX_DIMS
+    # A repeated size would rerun the same seeded starts.
+    for dims in ((2, 2), (1, 2, 1), (np.int64(4), 4)):
+        with pytest.raises(ValueError, match="distinct"):
+            OptimizerConfig(dims=dims)
 
     def sizes():
         yield from [1] * (optimize.MAX_DIMS + 1)
@@ -1072,6 +1079,16 @@ def test_norm_curve_other_element_is_monotone_above_oracle():
     assert np.all(np.diff(curve.values) >= 0.0)
     for mu, value in zip(curve.grid, curve.values):
         assert value >= one_dim_oracle(a, mu) - 1e-9
+
+
+def test_norm_curve_deep_copies_and_pickles():
+    curve = norm_curve(parse_element("u^65536*u - 2*v"), [1.0, 2.0], SMALL)
+    for clone in (copy.deepcopy(curve), pickle.loads(pickle.dumps(curve))):
+        assert clone.element == curve.element
+        assert clone.grid == curve.grid and clone.values == curve.values
+        for old, new in zip(curve.estimates, clone.estimates):
+            assert np.array_equal(new.witness.u, old.witness.u)
+            assert np.array_equal(new.witness.v, old.witness.v)
 
 
 def test_norm_curve_requires_ascending_grid():
