@@ -12,7 +12,8 @@ for x = u + u^-1 + v + v^-1 and spec pi(x) lies in [-mu, mu]. Once the best
 value reaches the upper bound to within ``_STALL_TOLERANCE`` the bracket is
 closed and the search stops: the running start stops stepping and no
 further fresh start is built. Pool witnesses are still scored, without
-steps, so that a curve stays exactly monotone.
+steps, so that a curve stays exactly monotone. A radial element's first
+start is the character that attains its radial bound; no oracle grid is built.
 
 Ascent direction: with (sigma, xi, eta) the top singular triple of pi(a),
 the derivative of sigma along U -> exp(i s H) U is <H, G_U> for a Hermitian
@@ -195,8 +196,9 @@ class NormEstimate:
     ``dim_used`` is the witness's dimension; ``upper`` is
     :func:`upper_bound` of the element; ``restart_index`` is
     the index of the winning start in the deterministic candidate order
-    (oracle argmax, pool entries, fresh starts). ``converged`` is true when
-    the winning start stalled or the bracket closed.
+    (radial peak or oracle argmax, pool entries, fresh starts).
+    ``converged`` is true when the winning start stalled or the bracket
+    closed.
     """
 
     value: float
@@ -370,7 +372,8 @@ def one_dim_oracle(element, mu):
 
     The grid is ORACLE_GRID equally spaced angles per generator, plus the
     antidiagonal phi = pi - theta; the value is a lower bound for the
-    constrained norm at level mu.
+    constrained norm at level mu, and the floor estimates are checked
+    against; only non-radial elements start from its argmax.
     """
     _check_element(element)
     value, _, _ = _oracle_scan(element, check_mu(mu))
@@ -435,6 +438,20 @@ def _radial_polynomial(coeffs):
     return q, np.roots(slope).real
 
 
+def _radial_peak(element, mu):
+    """(max |q(s)|, s*) over |s| <= mu for a radial element q(x), else None:
+    the maximum over the endpoints and the critical points of |q|^2 clipped
+    to the interval, and the first of those points that attains it."""
+    coeffs = _radial_coefficients(element)
+    if coeffs is None:
+        return None
+    q, critical = _radial_polynomial(tuple(coeffs))
+    points = np.concatenate(([-mu, mu], np.clip(critical, -mu, mu)))
+    magnitudes = np.abs(np.polyval(q, points))
+    i = int(np.argmax(magnitudes))
+    return float(magnitudes[i]), float(points[i])
+
+
 def upper_bound(element, mu):
     """Certified upper bound for ||pi(element)|| over mu-constrained pairs.
 
@@ -442,17 +459,13 @@ def upper_bound(element, mu):
     is q(x) for x = u + u^-1 + v + v^-1 and a polynomial q; spec pi(x) lies
     in [-mu, mu], so by the spectral theorem ||pi(q(x))|| <= max |q(s)| over
     |s| <= mu, and 1-dimensional pairs with 2cos(theta) + 2cos(phi) = s
-    attain it. That maximum is taken over the endpoints and the critical
-    points of |q|^2 in the interval. The smaller of the two bounds is
+    attain it (:func:`_radial_peak`). The smaller of the two bounds is
     returned.
     """
     bound = _check_element(element)
-    mu = check_mu(mu)
-    coeffs = _radial_coefficients(element)
-    if coeffs is not None:
-        q, critical = _radial_polynomial(tuple(coeffs))
-        points = np.concatenate(([-mu, mu], np.clip(critical, -mu, mu)))
-        bound = min(bound, float(np.max(np.abs(np.polyval(q, points)))))
+    peak = _radial_peak(element, check_mu(mu))
+    if peak is not None:
+        bound = min(bound, peak[0])
     return bound
 
 
@@ -727,15 +740,31 @@ def _ascend(element, mu, start, config, target=np.inf):
     return start_value, start, steps, converged
 
 
+def _radial_start(s, mu):
+    """The character u = v = z with 4 Re z = s, feasible at level mu exactly:
+    while rounding puts ``constraint_value``'s level above mu, Re z moves
+    one ulp toward 0."""
+    a = s / 4.0
+    while True:
+        z = complex(a, math.sqrt((1.0 - a) * (1.0 + a)))
+        if _torus_level(z, z) <= mu:
+            # Unit scalars: the witness check of estimate_norm covers them.
+            return Representation._unchecked(np.array([[z]]), np.array([[z]]))
+        a = math.nextafter(a, 0.0)
+
+
 def _candidate_starts(element, mu, config, pool):
     """Ascent starts in their deterministic order, built one at a time.
 
-    Order: torus-oracle argmax (when dimension 1 is in play), retracted pool
-    witnesses, then fresh Haar starts dim-major / restart-minor. Each fresh
-    start has its own seed, so a start does not depend on how many were
-    built before it.
+    Order: radial peak (:func:`_radial_start`) or else torus-oracle argmax,
+    when dimension 1 is in play; retracted pool witnesses; then fresh Haar
+    starts dim-major / restart-minor. Each fresh start has its own seed, so
+    a start does not depend on how many were built before it.
     """
-    if 1 in config.dims:
+    peak = _radial_peak(element, mu) if 1 in config.dims else None
+    if peak is not None:
+        yield _radial_start(peak[1], mu)
+    elif 1 in config.dims:
         _, theta, phi = _oracle_scan(element, mu)
         u = np.array([[np.exp(1j * theta)]])
         if phi == np.pi - theta:
@@ -758,8 +787,9 @@ def _candidate_starts(element, mu, config, pool):
 def estimate_norm(element, mu, config=None, pool=()):
     """Certified bracket [value, upper] for ||pi(element)|| over mu-constrained pairs.
 
-    Ascends from the candidate starts in order and keeps the best final
-    value; exact ties go to the earliest candidate, so results are
+    Ascends from the candidate starts in order (:func:`_candidate_starts`:
+    radial peak or oracle argmax, pool, fresh starts) and keeps the best
+    final value; exact ties go to the earliest candidate, so results are
     reproducible. Every start stops stepping at ``upper - _STALL_TOLERANCE``.
     Once the best value reaches it the bracket is closed: no further fresh
     start is built, and the remaining pool witnesses are scored at their

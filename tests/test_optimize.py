@@ -1017,6 +1017,11 @@ def test_import_builds_no_oracle_grid():
         "assert optimize._oracle_slot is None\n"
         "assert optimize._oracle_magnitude is None\n"
         "assert optimize._oracle_axes.cache_info().currsize == 0\n"
+        # A radial element starts at its radial peak: still no grid.
+        "x = constrep.parse_element('u + u^-1 + v + v^-1')\n"
+        "optimize.estimate_norm(x, 2.5)\n"
+        "optimize.norm_curve(x, [0.0, 1.0, 2.0, 3.0, 4.0])\n"
+        "assert optimize._oracle_magnitude is None\n"
     )
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
@@ -1046,7 +1051,7 @@ def test_one_dim_oracle_checks_its_arguments():
 
 
 def test_averaging_element_bracket_is_exact_at_zero():
-    # the antidiagonal start v = -conj(u) cancels the generator sum exactly
+    # the radial start u = v = i cancels the generator sum exactly
     result = estimate_norm(averaging_element(), 0.0)
     assert result.value == 0.0 <= result.upper
     assert constraint_value(result.witness) == 0.0
@@ -1104,7 +1109,7 @@ def test_norm_curve_requires_ascending_grid():
 def test_restart_index_identifies_candidate():
     x = averaging_element()
     result = estimate_norm(x, 4.0, SMALL)
-    # candidate 0 is the one-dimensional oracle start, which is exact at 4
+    # candidate 0 is the one-dimensional radial start, which is exact at 4
     assert result.restart_index == 0
     assert result.dim_used == 1
 
@@ -1188,15 +1193,20 @@ def test_upper_bound_is_l1_for_non_radial_elements():
     assert optimize._radial_coefficients(parse_element("u^65536 + v")) is None
 
 
+def _random_radial(rng):
+    """A random polynomial in x of degree at most 2, complex coefficients."""
+    x = averaging_element()
+    out = GroupRingElement({})
+    for k in range(int(rng.integers(1, 4))):
+        coeff = complex(rng.standard_normal(), rng.standard_normal())
+        out = out + coeff * x**k
+    return out
+
+
 def _random_element(rng):
     """A random polynomial in x (radial) or a random sum of short words."""
     if rng.integers(2):
-        x = averaging_element()
-        out = GroupRingElement({})
-        for k in range(int(rng.integers(1, 4))):
-            coeff = complex(rng.standard_normal(), rng.standard_normal())
-            out = out + coeff * x**k
-        return out
+        return _random_radial(rng)
     letters = (("u", 1), ("u", -1), ("v", 1), ("v", -1))
     terms = {}
     for _ in range(int(rng.integers(1, 4))):
@@ -1220,6 +1230,53 @@ def test_upper_bound_dominates_estimates():
         assert result.upper >= result.value - 1e-12 * max(1.0, result.value)
         radial += optimize._radial_coefficients(element) is not None
     assert radial >= 5
+
+
+def _radial_cases():
+    x = averaging_element()
+    elements = [x**k for k in range(1, 5)] + [x * x - 4]
+    rng = np.random.default_rng(34)
+    while len(elements) < 17:
+        element = _random_radial(rng)
+        if not element.is_zero:
+            elements.append(element)
+    for i, element in enumerate(elements):
+        for mu in (0.0, 4.0, float(rng.uniform(0.0, 4.0)), float(rng.uniform(0.0, 4.0))):
+            yield i, element, mu
+
+
+def test_radial_element_starts_at_its_radial_peak(monkeypatch):
+    def no_grid(element, mu):
+        raise AssertionError("radial element scanned the oracle grid")
+
+    config = OptimizerConfig(dims=(1, 2), restarts=2, max_steps=60, seed=0)
+    cases = list(_radial_cases())
+    floors = {(i, mu): one_dim_oracle(element, mu) for i, element, mu in cases}
+    monkeypatch.setattr(optimize, "_oracle_scan", no_grid)
+    for i, element, mu in cases:
+        result = estimate_norm(element, mu, config)
+        assert optimize._radial_coefficients(element) is not None
+        assert result.restart_index == 0 and result.steps == 0
+        assert constraint_value(result.witness) <= mu
+        assert result.value >= result.upper - optimize._STALL_TOLERANCE
+        # The grid's magnitudes carry rounding of their own: at times they
+        # read a few ulps above max |q(s)|, the upper bound itself.
+        assert result.value >= floors[i, mu] - 1e-12 * element.coefficient_l1()
+
+
+def test_non_radial_element_scans_the_oracle_once_per_estimate(monkeypatch):
+    calls = []
+    original = optimize._oracle_scan
+
+    def counting(element, mu):
+        calls.append(mu)
+        return original(element, mu)
+
+    monkeypatch.setattr(optimize, "_oracle_scan", counting)
+    element = parse_element("u + i*v - u*v^-1")
+    for mu in (0.0, 1.0, 4.0):
+        estimate_norm(element, mu, SMALL)
+    assert calls == [0.0, 1.0, 4.0]
 
 
 # --------------------------------------------------------------------------
@@ -1286,8 +1343,9 @@ def test_oracle_start_closes_an_off_grid_bracket(monkeypatch):
 
 
 def test_pool_witness_wins_after_bracket_closes(monkeypatch):
-    # A wide tolerance closes the bracket at the oracle start; the pool
-    # witness sits exactly on the level and must still be scored, unstepped.
+    # A wide tolerance closes the bracket at the radial start, which reads
+    # 0.9; the pool witness sits on the level, reads two ulps more (its
+    # cosines round up) and must still be scored, unstepped.
     x = averaging_element()
     mu = 0.9
     monkeypatch.setattr(optimize, "_STALL_TOLERANCE", 0.1)
@@ -1318,6 +1376,16 @@ def test_averaging_curve_closes_every_bracket():
         assert estimate.value >= max(values[:i], default=0.0)
         if 1 <= estimate.restart_index <= i:
             assert estimate.witness is curve.estimates[estimate.restart_index - 1].witness
+
+
+def test_averaging_curve_brackets_are_exact_and_witnesses_feasible():
+    # Criterion 4's curve: every witness is feasible exactly, with no
+    # rounding allowance, and attains its upper bound, so no bracket inverts.
+    grid = np.arange(0.0, 4.0 + 1e-12, 0.25)
+    curve = norm_curve(averaging_element(), grid, OptimizerConfig())
+    for mu, estimate in zip(grid, curve.estimates):
+        assert constraint_value(estimate.witness) <= mu
+        assert estimate.gap == 0.0
 
 
 @pytest.mark.xfail(
