@@ -105,14 +105,6 @@ _GRADIENT_FLOOR = 1e-14
 # ORACLE_GRID, and one block of complex products is about 0.55 MB.
 _ORACLE_BLOCK = 48
 
-# The last scanned element's oracle data: (key, antidiagonal best, magnitude
-# grid). Emptied before the next grid is built and set once it is complete.
-_oracle_slot = None
-# The one ORACLE_GRID x ORACLE_GRID magnitude array, allocated on the first
-# build and overwritten in place for every new element; only _oracle_scan
-# reads it, through the slot.
-_oracle_magnitude = None
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -261,23 +253,16 @@ def _oracle_axes():
 
 
 def _oracle_grid(element):
-    """(antidiagonal best, magnitude grid) of a nonzero element, kept for the last one.
+    """(antidiagonal best, magnitude grid) of a nonzero element, built anew on each call.
 
     The pair u -> e^(i theta), v -> e^(i phi) sends a word with generator
     sums (p, q) to e^(i (p theta + q phi)), so the antidiagonal and the
-    square grid are one matrix product each over the terms. Neither depends
-    on mu, so both are kept in ``_oracle_slot``, keyed by the (p, q, coeff)
-    triples they are built from, and every level of a curve reuses them.
-    The grid is written into the one ``_oracle_magnitude`` array, a block of
-    rows at a time, so after the first build a new element pages in no
-    grid-sized memory.
+    square grid are one matrix product each over the terms. The grid is
+    filled ``_ORACLE_BLOCK`` rows at a time, so besides the 4 MB magnitude
+    array only one 0.55 MB block of complex products is held. Nothing is
+    kept: each scan, and so each level of a non-radial curve, builds its own.
     """
-    global _oracle_slot, _oracle_magnitude
-    key = _torus_terms(element)
-    if _oracle_slot is not None and _oracle_slot[0] == key:
-        return _oracle_slot[1], _oracle_slot[2]
-    _oracle_slot = None  # the grid below is overwritten in place
-    p, q, coeffs = (np.array(column) for column in zip(*key))
+    p, q, coeffs = (np.array(column) for column in zip(*_torus_terms(element)))
     theta, _, theta_by_cos, _ = _oracle_axes()
 
     # The curve phi = pi - theta is feasible at every constraint level up to
@@ -293,9 +278,7 @@ def _oracle_grid(element):
     # Both axes in cosine order: entry (r, s) is the pair
     # (theta[order[r]], theta[order[s]]). Each row of a product depends only
     # on its own row of ``left``, so the blocks equal the full product.
-    if _oracle_magnitude is None:
-        _oracle_magnitude = np.empty((ORACLE_GRID, ORACLE_GRID))
-    magnitude = _oracle_magnitude
+    magnitude = np.empty((ORACLE_GRID, ORACLE_GRID))
     left = np.exp(1j * np.outer(theta_by_cos, p)) * coeffs
     right = np.exp(1j * np.outer(q, theta_by_cos))
     block = np.empty((_ORACLE_BLOCK, ORACLE_GRID), dtype=complex)
@@ -303,7 +286,6 @@ def _oracle_grid(element):
         rows = slice(r, r + _ORACLE_BLOCK)
         np.matmul(left[rows], right, out=block)
         np.abs(block, out=magnitude[rows])
-    _oracle_slot = (key, best, magnitude)
     return best, magnitude
 
 
@@ -371,9 +353,11 @@ def one_dim_oracle(element, mu):
     """Max of |pi(a)| over 1-dimensional feasible pairs on the fixed grid.
 
     The grid is ORACLE_GRID equally spaced angles per generator, plus the
-    antidiagonal phi = pi - theta; the value is a lower bound for the
-    constrained norm at level mu, and the floor estimates are checked
-    against; only non-radial elements start from its argmax.
+    antidiagonal phi = pi - theta. The value is the floor estimates are
+    checked against, a lower bound for the constrained norm at level mu up
+    to the rounding of the grid's magnitudes: it can read a few ulps of the
+    coefficient l1 norm above :func:`upper_bound`. Only non-radial elements
+    start from its argmax.
     """
     _check_element(element)
     value, _, _ = _oracle_scan(element, check_mu(mu))

@@ -964,7 +964,8 @@ def test_oracle_is_bitwise_the_two_product_scan():
     ]
     pairs += [(x, mu) for triple in triples for mu in triple]
     pairs += [(elements[k % 20], mu) for k, triple in enumerate(triples) for mu in triple]
-    # A, B, A: a grid kept for the wrong element would show on the second A.
+    # A, B, A: a scan that read anything the previous one left behind would
+    # show on the second A.
     a, b = elements[0], elements[21]
     pairs += [(a, 2.0), (b, 2.0), (a, 2.0), (b, 0.5), (a, 0.5)]
     for element, mu in pairs:
@@ -998,7 +999,7 @@ def test_curve_levels_equal_separate_estimates():
     curve = norm_curve(x, grid, SMALL)
     pool = []
     for mu, from_curve in zip(grid, curve.estimates):
-        optimize._oracle_scan(other, 2.0)  # the level starts from another element's grid
+        optimize._oracle_scan(other, 2.0)  # another element is scanned between levels
         alone = estimate_norm(x, mu, SMALL, pool=tuple(pool))
         pool.append(alone.witness)
         for field in ("value", "restart_index", "steps", "converged"):
@@ -1011,25 +1012,29 @@ def test_import_builds_no_oracle_grid():
     code = (
         "import numpy as np, constrep\n"
         "from constrep import optimize\n"
-        "big = [name for name, value in vars(optimize).items()\n"
-        "       if isinstance(value, np.ndarray) and value.size > optimize.ORACLE_GRID]\n"
-        "assert not big, big\n"
-        "assert optimize._oracle_slot is None\n"
-        "assert optimize._oracle_magnitude is None\n"
+        "def big():\n"
+        "    return [name for name, value in vars(optimize).items()\n"
+        "            if isinstance(value, np.ndarray) and value.size > optimize.ORACLE_GRID]\n"
+        "assert not big(), big()\n"
         "assert optimize._oracle_axes.cache_info().currsize == 0\n"
-        # A radial element starts at its radial peak: still no grid.
+        # A radial element starts at its radial peak: the oracle never runs.
         "x = constrep.parse_element('u + u^-1 + v + v^-1')\n"
         "optimize.estimate_norm(x, 2.5)\n"
         "optimize.norm_curve(x, [0.0, 1.0, 2.0, 3.0, 4.0])\n"
-        "assert optimize._oracle_magnitude is None\n"
+        "assert optimize._oracle_axes.cache_info().currsize == 0\n"
+        # A non-radial element scans the grid, and the module keeps none of it.
+        "a = constrep.parse_element('u*v^2 + 0.5*v^-1 - u^-3')\n"
+        "optimize.estimate_norm(a, 1.5, optimize.OptimizerConfig(dims=(1,), restarts=1))\n"
+        "optimize.one_dim_oracle(a, 0.5)\n"
+        "assert optimize._oracle_axes.cache_info().currsize == 1\n"
+        "assert not big(), big()\n"
     )
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
 
 
-def test_new_element_scan_reuses_the_grid_buffer():
+def test_new_element_scan_builds_the_grid_in_row_blocks():
     optimize._oracle_scan(averaging_element(), 2.0)
-    buffer = optimize._oracle_magnitude
     element = _syllable_element(np.random.default_rng(5))
     tracemalloc.start()
     try:
@@ -1037,10 +1042,9 @@ def test_new_element_scan_reuses_the_grid_buffer():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # A fresh 720 x 720 complex product and its magnitude would be 12 MB.
-    assert peak < 1 << 20, peak
-    assert optimize._oracle_magnitude is buffer
-    assert optimize._oracle_slot[2] is buffer
+    # The 4 MB magnitude grid and one block of products; a full 720 x 720
+    # complex product next to the grid would be about 12 MB.
+    assert peak < 6 << 20, peak
 
 
 def test_one_dim_oracle_checks_its_arguments():
@@ -1264,6 +1268,21 @@ def test_radial_element_starts_at_its_radial_peak(monkeypatch):
         assert result.value >= floors[i, mu] - 1e-12 * element.coefficient_l1()
 
 
+def test_one_dim_oracle_is_below_the_radial_bound_up_to_rounding():
+    # The grid's magnitudes carry rounding of their own, so the oracle reads
+    # above max |q(s)| in about a third of these cases, by up to 6.4e-16 l1.
+    rng = np.random.default_rng(35)
+    cases = 0
+    while cases < 450:
+        element = _random_radial(rng)
+        if element.is_zero:
+            continue
+        for mu in (0.0, 4.0, float(rng.uniform(0.0, 4.0))):
+            bound = upper_bound(element, mu) + 1e-14 * element.coefficient_l1()
+            assert one_dim_oracle(element, mu) <= bound
+            cases += 1
+
+
 def test_non_radial_element_scans_the_oracle_once_per_estimate(monkeypatch):
     calls = []
     original = optimize._oracle_scan
@@ -1343,17 +1362,17 @@ def test_oracle_start_closes_an_off_grid_bracket(monkeypatch):
 
 
 def test_pool_witness_wins_after_bracket_closes(monkeypatch):
-    # A wide tolerance closes the bracket at the radial start, which reads
-    # 0.9; the pool witness sits on the level, reads two ulps more (its
-    # cosines round up) and must still be scored, unstepped.
-    x = averaging_element()
-    mu = 0.9
-    monkeypatch.setattr(optimize, "_STALL_TOLERANCE", 0.1)
-    config = OptimizerConfig()
-    witness = character(math.acos(0.45), math.pi / 2)
-    pool_value = operator_norm(evaluate(witness, x))
-    assert one_dim_oracle(x, mu) < pool_value <= mu + 1e-12
-    result = estimate_norm(x, mu, config, pool=(witness,))
+    # Characters commute, so the 1-D start of u*v - v*u reads about 0, and a
+    # tolerance as wide as the upper bound (l1 = 2) closes the bracket there.
+    # The d = 2 pool witness reads about 0.71 and must still be scored,
+    # unstepped.
+    element = parse_element("u*v - v*u")
+    mu = 2.0
+    monkeypatch.setattr(optimize, "_STALL_TOLERANCE", 2.0)
+    witness = random_constrained(2, 1.0, seed=0)
+    pool_value = optimize._objective(element, witness)[0]
+    assert one_dim_oracle(element, mu) < 1e-12 and pool_value > 0.5
+    result = estimate_norm(element, mu, OptimizerConfig(), pool=(witness,))
     assert result.restart_index == 1
     assert result.value == pool_value
     assert result.steps == 0

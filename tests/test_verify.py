@@ -91,6 +91,18 @@ def test_public_names_have_a_reader_outside_tests():
     assert sorted(set(constrep.__all__) - read - _AWAITING_READER) == []
 
 
+def test_package_has_no_global_statement():
+    """The package keeps no mutable module state: no function rebinds a
+    module name. Constants it builds on first use live in ``functools``
+    caches instead."""
+    rebinding = []
+    for path in (ROOT / "src" / "constrep").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Global):
+                rebinding.append(f"{path.name}:{node.lineno} {', '.join(node.names)}")
+    assert rebinding == []
+
+
 def test_optimizer_config_fields_are_set_outside_tests():
     """Every ``OptimizerConfig`` field is passed by keyword in some call of
     ``OptimizerConfig`` by the verify suites, a demo or the benchmark
