@@ -11,9 +11,11 @@ only on word length, max |q(s)| over |s| <= mu, where the element is q(x)
 for x = u + u^-1 + v + v^-1 and spec pi(x) lies in [-mu, mu]. Once the best
 value reaches the upper bound to within ``_STALL_TOLERANCE`` the bracket is
 closed and the search stops: the running start stops stepping and no
-further fresh start is built. Pool witnesses are still scored, without
-steps, so that a curve stays exactly monotone. A radial element's first
-start is the character that attains its radial bound; no oracle grid is built.
+further fresh start is built. The pool, the estimates of earlier levels of a
+curve, still counts after that, so that a curve stays exactly monotone; a
+pool witness that is feasible at the level counts at its stored value, with
+no recomputation. A radial element's first start is the character that
+attains its radial bound; no oracle grid is built.
 
 Ascent direction: with (sigma, xi, eta) the top singular triple of pi(a),
 the derivative of sigma along U -> exp(i s H) U is <H, G_U> for a Hermitian
@@ -65,6 +67,7 @@ from .freegroup import GroupRingElement
 from .representation import (
     Representation,
     check_mu,
+    constraint_value,
     evaluate,
     letter_images,
     power_tables,
@@ -190,7 +193,8 @@ class NormEstimate:
     the index of the winning start in the deterministic candidate order
     (radial peak or oracle argmax, pool entries, fresh starts).
     ``converged`` is true when the winning start stalled or the bracket
-    closed.
+    closed. ``constraint`` is ``constraint_value`` of the witness, so a
+    later level mu tests the witness's feasibility as ``constraint <= mu``.
     """
 
     value: float
@@ -199,6 +203,7 @@ class NormEstimate:
     steps: int
     converged: bool
     upper: float
+    constraint: float
 
     @property
     def dim_used(self):
@@ -446,11 +451,17 @@ def upper_bound(element, mu):
     attain it (:func:`_radial_peak`). The smaller of the two bounds is
     returned.
     """
+    return _bound_and_peak(element, check_mu(mu))[0]
+
+
+def _bound_and_peak(element, mu):
+    """(:func:`upper_bound`, :func:`_radial_peak`) of a checked level: the
+    peak is computed once, for the bound and for the radial start."""
     bound = _check_element(element)
-    peak = _radial_peak(element, check_mu(mu))
+    peak = _radial_peak(element, mu)
     if peak is not None:
         bound = min(bound, peak[0])
-    return bound
+    return bound, peak
 
 
 # --------------------------------------------------------------------------
@@ -737,17 +748,19 @@ def _radial_start(s, mu):
         a = math.nextafter(a, 0.0)
 
 
-def _candidate_starts(element, mu, config, pool):
-    """Ascent starts in their deterministic order, built one at a time.
+def _candidate_starts(element, mu, config, peak, pool):
+    """(start, value) pairs in their deterministic order, built one at a time.
 
-    Order: radial peak (:func:`_radial_start`) or else torus-oracle argmax,
-    when dimension 1 is in play; retracted pool witnesses; then fresh Haar
-    starts dim-major / restart-minor. Each fresh start has its own seed, so
-    a start does not depend on how many were built before it.
+    Order: radial peak (:func:`_radial_start`, at ``peak``, the element's
+    :func:`_radial_peak`) or else torus-oracle argmax, when dimension 1 is in
+    play; pool witnesses; then fresh Haar starts dim-major / restart-minor.
+    Each fresh start has its own seed, so a start does not depend on how many
+    were built before it. ``value`` is the stored value of a pool witness
+    feasible at mu, which is its own start; every other start, a retracted
+    pool witness included, has value None.
     """
-    peak = _radial_peak(element, mu) if 1 in config.dims else None
-    if peak is not None:
-        yield _radial_start(peak[1], mu)
+    if 1 in config.dims and peak is not None:
+        yield _radial_start(peak[1], mu), None
     elif 1 in config.dims:
         _, theta, phi = _oracle_scan(element, mu)
         u = np.array([[np.exp(1j * theta)]])
@@ -759,13 +772,17 @@ def _candidate_starts(element, mu, config, pool):
         else:
             v = np.array([[np.exp(1j * phi)]])
         # Unit scalars: the witness check of estimate_norm covers them.
-        yield Representation._unchecked(u, v)
-    for witness in pool:
-        yield retract_to(witness, mu)
+        yield Representation._unchecked(u, v), None
+    for carried in pool:
+        # retract_to's own test: a feasible witness is returned unchanged.
+        if carried.constraint <= mu:
+            yield carried.witness, carried.value
+        else:
+            yield retract_to(carried.witness, mu), None
     for dim in config.dims:
         for restart in range(config.restarts):
             seed = np.random.SeedSequence((int(config.seed), dim, restart))
-            yield random_constrained(dim, mu, seed=seed)
+            yield random_constrained(dim, mu, seed=seed), None
 
 
 def estimate_norm(element, mu, config=None, pool=()):
@@ -780,19 +797,28 @@ def estimate_norm(element, mu, config=None, pool=()):
     start value without steps. They are still scored because a witness of a
     lower level may beat the closing value by less than the tolerance, and
     :func:`norm_curve` is monotone only if the best pool entry always counts.
+
+    ``pool`` holds estimates that this function returned for the same
+    element, at any level and config. A pool witness feasible at mu
+    (``constraint <= mu``) counts at its stored value, the objective of that
+    witness, and ascends only while that value is below the stopping value;
+    an infeasible one is retracted and scored like any other start.
     """
     if config is None:
         config = OptimizerConfig()
     mu = check_mu(mu)
-    upper = upper_bound(element, mu)  # checks the element
+    upper, peak = _bound_and_peak(element, mu)  # checks the element
     if element.is_zero:
         raise ValueError("cannot estimate the norm of the zero element")
     target = upper - _STALL_TOLERANCE
     n_before_fresh = (1 in config.dims) + len(pool)
     stop = target
     best, best_index = None, 0
-    for index, start in enumerate(_candidate_starts(element, mu, config, pool)):
-        result = _ascend(element, mu, start, config, stop)
+    for index, (start, value) in enumerate(_candidate_starts(element, mu, config, peak, pool)):
+        if value is not None and value >= stop:
+            result = value, start, 0, True  # _ascend's early return, without the call
+        else:
+            result = _ascend(element, mu, start, config, stop)
         if best is None or result[0] > best[0]:
             best, best_index = result, index
         if best[0] >= target:
@@ -810,16 +836,18 @@ def estimate_norm(element, mu, config=None, pool=()):
         steps=steps,
         converged=converged,
         upper=upper,
+        constraint=constraint_value(witness),
     )
 
 
 def norm_curve(element, grid, config=None):
     """Estimates along an ascending grid of levels with witness pooling.
 
-    Every grid point's best witness is injected as a candidate at all later
-    points. Feasible witnesses are reused unchanged and scored even after a
-    bracket closes, so the reported values are exactly monotone along the
-    grid.
+    Every grid point's estimate is carried as a candidate to all later
+    points. Feasible witnesses are reused unchanged and count at their
+    stored values even after a bracket closes, so the reported values are
+    exactly monotone along the grid, and a level's cost does not grow with
+    the number of levels before it.
     """
     if config is None:
         config = OptimizerConfig()
@@ -828,10 +856,9 @@ def norm_curve(element, grid, config=None):
         raise ValueError("grid must be non-empty")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be ascending")
-    pool = []
     estimates = []
     for mu in grid:
-        est = estimate_norm(element, mu, config, pool=tuple(pool))
-        estimates.append(est)
-        pool.append(est.witness)
+        # One call of the module-level estimate_norm per level: the curve_x
+        # benchmark (perfbench/workloads.py) times levels by rebinding it.
+        estimates.append(estimate_norm(element, mu, config, pool=tuple(estimates)))
     return NormCurve(element=element, grid=grid, estimates=tuple(estimates))

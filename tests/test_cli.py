@@ -42,7 +42,10 @@ def test_estimate_bracket_at_zero_is_not_inverted():
     # the gap is upper - value, unclamped, so an inverted bracket would show
     fields = dict(line.split(": ") for line in result.stdout.splitlines())
     assert float(fields["gap"]) == float(fields["upper"]) - float(fields["norm_estimate"])
-    inverted = NormEstimate(1.0, character(0.0, 0.0), 0, 0, True, upper=0.5)
+    witness = character(0.0, 0.0)
+    inverted = NormEstimate(
+        1.0, witness, 0, 0, True, upper=0.5, constraint=constraint_value(witness)
+    )
     assert inverted.gap == -0.5
 
 

@@ -28,6 +28,7 @@ from constrep.linalg import (
 )
 from constrep.optimize import (
     NormCurve,
+    NormEstimate,
     OptimizerConfig,
     estimate_norm,
     norm_curve,
@@ -311,7 +312,8 @@ def _one_dim_starts():
     for seed in range(12):
         element = _syllable_element(np.random.default_rng(seed))
         mu = (0.5, 1.5, 2.5, 3.5)[seed % 4]
-        for start in optimize._candidate_starts(element, mu, config, ()):
+        peak = optimize._radial_peak(element, mu)
+        for start, _ in optimize._candidate_starts(element, mu, config, peak, ()):
             cases.append((element, mu, start, (0.1, 0.3)[len(cases) % 2]))
     start = random_constrained(1, 2.5, seed=11)
     for element in (_long_word_element(1), parse_element("u + i*v - u*v^-1")):
@@ -525,7 +527,8 @@ def test_torus_ascent_ends_at_or_above_the_geometric_step_rule():
     for seed in range(300):
         element = _syllable_element(np.random.default_rng((27, seed)))
         mu = (0.5, 1.5, 2.5, 3.5)[seed % 4]
-        start = next(optimize._candidate_starts(element, mu, config, ()))
+        peak = optimize._radial_peak(element, mu)
+        start, _ = next(optimize._candidate_starts(element, mu, config, peak, ()))
         (old, _, _, _), _ = _reference_torus_ascent(element, mu, start, config, _geometric_step)
         value = optimize._ascend(element, mu, start, config)[0]
         assert value >= old
@@ -1001,8 +1004,8 @@ def test_curve_levels_equal_separate_estimates():
     for mu, from_curve in zip(grid, curve.estimates):
         optimize._oracle_scan(other, 2.0)  # another element is scanned between levels
         alone = estimate_norm(x, mu, SMALL, pool=tuple(pool))
-        pool.append(alone.witness)
-        for field in ("value", "restart_index", "steps", "converged"):
+        pool.append(alone)
+        for field in ("value", "restart_index", "steps", "converged", "constraint"):
             assert getattr(alone, field) == getattr(from_curve, field)
         assert alone.witness.u.tobytes() == from_curve.witness.u.tobytes()
         assert alone.witness.v.tobytes() == from_curve.witness.v.tobytes()
@@ -1303,15 +1306,33 @@ def test_non_radial_element_scans_the_oracle_once_per_estimate(monkeypatch):
 # --------------------------------------------------------------------------
 
 
+def _carried(element, witness, value=None):
+    """A pool entry as estimate_norm returns one: the witness's objective,
+    unless ``value`` replaces it, and its constraint value."""
+    if value is None:
+        value = optimize._objective(element, witness)[0]
+    return NormEstimate(
+        value=value,
+        witness=witness,
+        restart_index=0,
+        steps=0,
+        converged=True,
+        upper=upper_bound(element, 4.0),
+        constraint=constraint_value(witness),
+    )
+
+
 def test_open_bracket_runs_every_start():
     element = parse_element("u + i*v - u*v^-1")
     mu = 1.0
-    pool = (random_constrained(2, 0.5, seed=3),)
+    pool = (_carried(element, random_constrained(2, 0.5, seed=3)),)
     result = estimate_norm(element, mu, SMALL, pool=pool)
     assert result.value < result.upper - optimize._STALL_TOLERANCE
 
-    starts = list(optimize._candidate_starts(element, mu, SMALL, pool))
+    peak = optimize._radial_peak(element, mu)
+    starts = [start for start, _ in optimize._candidate_starts(element, mu, SMALL, peak, pool)]
     assert len(starts) == 1 + len(pool) + len(SMALL.dims) * SMALL.restarts
+    assert starts[1] is pool[0].witness  # feasible at mu: its own start
     runs = [optimize._ascend(element, mu, start, SMALL) for start in starts]
     best = max(range(len(runs)), key=lambda i: (runs[i][0], -i))
     value, witness, steps, converged = runs[best]
@@ -1370,12 +1391,84 @@ def test_pool_witness_wins_after_bracket_closes(monkeypatch):
     mu = 2.0
     monkeypatch.setattr(optimize, "_STALL_TOLERANCE", 2.0)
     witness = random_constrained(2, 1.0, seed=0)
-    pool_value = optimize._objective(element, witness)[0]
-    assert one_dim_oracle(element, mu) < 1e-12 and pool_value > 0.5
-    result = estimate_norm(element, mu, OptimizerConfig(), pool=(witness,))
+    carried = _carried(element, witness)
+    assert one_dim_oracle(element, mu) < 1e-12 and carried.value > 0.5
+    result = estimate_norm(element, mu, OptimizerConfig(), pool=(carried,))
     assert result.restart_index == 1
-    assert result.value == pool_value
+    assert result.value == carried.value
+    assert result.witness is witness
     assert result.steps == 0
+
+
+def test_infeasible_carried_estimate_is_retracted_and_rescored():
+    # retract_to lands a few ulps above mu on some pairs, so such a witness,
+    # carried to the same level, must be retracted again and re-scored: a
+    # wrong stored value must never reach the result.
+    mu = 2.0
+    witness = next(
+        w for w in (random_constrained(2, mu, seed=seed) for seed in range(200))
+        if constraint_value(w) > mu
+    )
+    element = parse_element("u*v - v*u")  # 0 at every 1-dimensional pair
+    config = OptimizerConfig(dims=(1,), restarts=1, max_steps=20)
+    wrong = estimate_norm(element, mu, config, pool=(_carried(element, witness, 1e6),))
+    right = estimate_norm(element, mu, config, pool=(_carried(element, witness),))
+    assert wrong.restart_index == right.restart_index == 1
+    assert wrong.value == right.value < wrong.upper
+    assert wrong.witness is not witness
+    assert wrong.witness.u.tobytes() == right.witness.u.tobytes()
+    assert wrong.witness.v.tobytes() == right.witness.v.tobytes()
+    assert wrong.value == optimize._objective(element, wrong.witness)[0]
+
+
+def _counting(monkeypatch, module, name, calls):
+    """Replace ``module.name`` by a wrapper that appends to ``calls``."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_averaging_curve_computes_one_objective_per_level(monkeypatch):
+    # Every carried witness is feasible and stored with its value, so each
+    # level scores only its radial start and checks only its own witness.
+    calls = []
+    _counting(monkeypatch, optimize, "_objective", calls)
+    _counting(monkeypatch, optimize, "constraint_value", calls)
+    _counting(monkeypatch, representation, "constraint_value", calls)
+    grid = np.arange(0.0, 4.0 + 1e-12, 0.25)
+    curve = norm_curve(averaging_element(), grid, OptimizerConfig())
+    assert calls.count("_objective") == len(grid) == 17
+    assert calls.count("constraint_value") == len(grid)
+    assert [e.restart_index for e in curve.estimates] == [0] * len(grid)
+
+
+def test_estimate_constraint_is_its_witness_constraint_value():
+    config = OptimizerConfig(dims=(1, 2), restarts=1, max_steps=30)
+    for seed in range(8):
+        element = _syllable_element(np.random.default_rng(seed))
+        mu = (0.5, 1.5, 2.5, 3.5)[seed % 4]
+        estimates = [estimate_norm(element, mu, config)]
+        estimates += norm_curve(element, (0.0, mu, mu, 4.0), config).estimates
+        for estimate in estimates:
+            assert estimate.constraint == constraint_value(estimate.witness)
+
+
+def test_radial_peak_runs_once_per_estimate(monkeypatch):
+    calls = []
+    _counting(monkeypatch, optimize, "_radial_peak", calls)
+    for text in ("u + u^-1 + v + v^-1", "u + i*v - u*v^-1"):
+        element = parse_element(text)
+        for mu in (0.0, 1.5, 4.0):
+            calls.clear()
+            estimate_norm(element, mu, SMALL)
+            assert len(calls) == 1
+        calls.clear()
+        norm_curve(element, (0.0, 2.0, 4.0), SMALL)
+        assert len(calls) == 3
 
 
 def test_averaging_curve_closes_every_bracket():
