@@ -104,8 +104,8 @@ _STALL_TOLERANCE = 1e-7
 # Angles per generator in the 1-D torus oracle: steps of half a degree.
 ORACLE_GRID = 720
 _GRADIENT_FLOOR = 1e-14
-# Grid rows per matrix product when the magnitude grid is filled; divides
-# ORACLE_GRID, and one block of complex products is about 0.55 MB.
+# Grid rows per matrix product in the oracle scan; divides ORACLE_GRID. One
+# block of complex products is about 0.55 MB, and no larger array is built.
 _ORACLE_BLOCK = 48
 
 
@@ -245,30 +245,33 @@ def _torus_terms(element):
 
 @functools.cache
 def _oracle_axes():
-    """(theta, order, theta[order], c[order]) for c = 2cos(theta), order ascending in c.
+    """(theta, 2cos(theta)) at the ``ORACLE_GRID`` angles of the oracle grid.
 
-    The cosines are computed on the whole grid and then permuted, so each
-    entry is the value the unsorted grid has. Built on first use rather than
-    at import, which would run numpy kernels that only the oracle needs.
+    Built on first use rather than at import, which would run numpy kernels
+    that only the oracle needs.
     """
     theta = 2.0 * np.pi * np.arange(ORACLE_GRID) / ORACLE_GRID
-    cos = 2.0 * np.cos(theta)
-    order = np.argsort(cos, kind="stable")
-    return theta, order, theta[order], cos[order]
+    return theta, 2.0 * np.cos(theta)
 
 
-def _oracle_grid(element):
-    """(antidiagonal best, magnitude grid) of a nonzero element, built anew on each call.
+def _oracle_scan(element, mu):
+    """(value, theta, phi): the max of |pi(a)| over 1-D pairs on the fixed grid.
 
     The pair u -> e^(i theta), v -> e^(i phi) sends a word with generator
     sums (p, q) to e^(i (p theta + q phi)), so the antidiagonal and the
-    square grid are one matrix product each over the terms. The grid is
-    filled ``_ORACLE_BLOCK`` rows at a time, so besides the 4 MB magnitude
-    array only one 0.55 MB block of complex products is held. Nothing is
-    kept: each scan, and so each level of a non-radial curve, builds its own.
+    square grid are one matrix product each over the terms. The square grid
+    is built ``_ORACLE_BLOCK`` rows at a time in natural (theta, phi) order
+    and kept nowhere. A block whose largest magnitude is at most the best
+    value so far cannot replace it and is skipped; otherwise its infeasible
+    cells, |2cos(theta) + 2cos(phi)| > mu, are set to -1 and its first
+    argmax replaces the best only if strictly larger. So ties go to the
+    smallest row-major index, and a grid value must beat the antidiagonal's.
+    Callers validate the element and mu.
     """
+    if element.is_zero:
+        return 0.0, 0.0, 0.0
     p, q, coeffs = (np.array(column) for column in zip(*_torus_terms(element)))
-    theta, _, theta_by_cos, _ = _oracle_axes()
+    theta, cos = _oracle_axes()
 
     # The curve phi = pi - theta is feasible at every constraint level up to
     # rounding (on this grid 2cos(theta) + 2cos(pi - theta) is nonzero at 493
@@ -280,77 +283,19 @@ def _oracle_grid(element):
     i = int(np.argmax(curve))
     best = (float(curve[i]), float(theta[i]), float(phi[i]))
 
-    # Both axes in cosine order: entry (r, s) is the pair
-    # (theta[order[r]], theta[order[s]]). Each row of a product depends only
-    # on its own row of ``left``, so the blocks equal the full product.
-    magnitude = np.empty((ORACLE_GRID, ORACLE_GRID))
-    left = np.exp(1j * np.outer(theta_by_cos, p)) * coeffs
-    right = np.exp(1j * np.outer(q, theta_by_cos))
-    block = np.empty((_ORACLE_BLOCK, ORACLE_GRID), dtype=complex)
+    # Each row of the product depends only on its own row of ``left``, so
+    # the blocks equal the full product.
+    left = np.exp(1j * np.outer(theta, p)) * coeffs
+    right = np.exp(1j * np.outer(q, theta))
     for r in range(0, ORACLE_GRID, _ORACLE_BLOCK):
         rows = slice(r, r + _ORACLE_BLOCK)
-        np.matmul(left[rows], right, out=block)
-        np.abs(block, out=magnitude[rows])
-    return best, magnitude
-
-
-def _feasible_columns(mu):
-    """Per row r of the cosine-ordered grid, the feasible columns [lo_r, hi_r).
-
-    lo_r counts the columns with c_r + c_s < -mu (that is, <= the float just
-    below -mu) and hi_r those with c_r + c_s <= mu. A search on the exact
-    differences limit - c_r gives each count to within rounding; each row's
-    count then steps by one while the exact sum the mask tests, at the
-    count's edge, disagrees with it. Rows are monotone, so this stops at
-    exactly the mask's count, typically after a pass or two.
-    """
-    c = _oracle_axes()[3]
-    limits = np.array([[np.nextafter(-mu, -np.inf)], [mu]])
-    count = np.searchsorted(c, limits - c, side="right")
-    last = ORACLE_GRID - 1
-    while True:
-        # The sum just past the count is within the limit: count too low.
-        low = (count <= last) & (c + c[np.minimum(count, last)] <= limits)
-        # The sum at the count's last column is beyond it: count too high.
-        high = (count > 0) & (c + c[np.maximum(count - 1, 0)] > limits)
-        if not (low.any() or high.any()):
-            return count[0], count[1]
-        count += low
-        count -= high
-
-
-def _oracle_scan(element, mu):
-    """(value, theta, phi): the max of |pi(a)| over 1-D pairs on the fixed grid.
-
-    The grid's axes are in ascending order of c = 2cos(theta). Rounding is
-    monotone, so along a row r the sum fl(c_r + c_s) never decreases in s,
-    and |c_r + c_s| <= mu, which is -mu <= c_r + c_s <= mu, holds on one
-    contiguous range of columns. Each level is then one maximum per row
-    range. Ties go where an argmax over the grid in natural (theta, phi)
-    order puts them: to the smallest row-major index in that order. A grid
-    value replaces the antidiagonal's only if it is strictly larger.
-    Callers validate the element and mu.
-    """
-    if element.is_zero:
-        return 0.0, 0.0, 0.0
-    best, magnitude = _oracle_grid(element)
-    _, order, theta_by_cos, _ = _oracle_axes()
-    lo, hi = _feasible_columns(mu)
-    rows = np.flatnonzero(lo < hi)
-    if not rows.size:
-        return best
-    starts = rows * ORACLE_GRID
-    bounds = np.column_stack((starts + lo[rows], starts + hi[rows])).ravel()
-    if bounds[-1] == magnitude.size:
-        bounds = bounds[:-1]  # the last range runs to the end of the grid
-    maxima = np.maximum.reduceat(magnitude.ravel(), bounds)[::2]
-    value = maxima.max()
-    if value > best[0]:
-        tied = rows[maxima == value]
-        r = tied[np.argmin(order[tied])]
-        columns = lo[r] + np.flatnonzero(magnitude[r, lo[r]:hi[r]] == value)
-        s = columns[np.argmin(order[columns])]
-        best = (float(value), float(theta_by_cos[r]), float(theta_by_cos[s]))
+        magnitude = np.abs(left[rows] @ right)
+        if magnitude.max() <= best[0]:
+            continue
+        magnitude[np.abs(cos[rows, None] + cos) > mu] = -1.0
+        i, j = divmod(int(np.argmax(magnitude)), ORACLE_GRID)
+        if magnitude[i, j] > best[0]:
+            best = (float(magnitude[i, j]), float(theta[r + i]), float(theta[j]))
     return best
 
 

@@ -241,7 +241,7 @@ def test_negative_seed_exits_one_before_running(args, capsys, tmp_path, monkeypa
 def test_size_over_its_cap_exits_one_before_allocating(args, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     if args[0] != "rep-gen":
-        # An element no other test scans, so its oracle grid is not cached.
+        # A non-radial element, so running on past a cap scans the oracle grid.
         args = ["estimate", "-e", "u + 2*v^3", "-m", "2", *args]
     # Load what both commands import lazily, through calls rejected below any cap.
     assert cli.main(["estimate", "-e", "u", "-m", "2", "--restarts", "0"]) == 1
@@ -254,8 +254,8 @@ def test_size_over_its_cap_exits_one_before_allocating(args, capsys, tmp_path, m
     finally:
         tracemalloc.stop()
     assert code == 1
-    # Running on would allocate more: the oracle grid is 4 MB, and a Haar draw
-    # at d = 128 peaks at 1.2 MB.
+    # Running on would allocate more: the oracle scan peaks at about 1.16 MiB,
+    # and a Haar draw at d = 128 at 1.2 MB.
     assert peak < 2**20
     captured = capsys.readouterr()
     assert captured.out == ""

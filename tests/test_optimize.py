@@ -666,10 +666,10 @@ def test_estimate_checks_unitarity_once_per_witness_image(monkeypatch):
     ids=["nan", "l1_overflow", "modulus_overflow"],
 )
 def test_element_with_non_finite_l1_norm_is_rejected_before_any_grid(terms, monkeypatch):
-    def grid(element):
-        raise AssertionError("an oracle grid was built")
+    def scan(element, mu):
+        raise AssertionError("the oracle grid was scanned")
 
-    monkeypatch.setattr(optimize, "_oracle_grid", grid)
+    monkeypatch.setattr(optimize, "_oracle_scan", scan)
     element = GroupRingElement({Word([(g, 1)]): c for g, c in terms.items()})
     with pytest.raises(ValueError, match="finite l1 norm"):
         estimate_norm(element, 1.0, OptimizerConfig(dims=(1, 2), restarts=1, max_steps=5))
@@ -914,8 +914,21 @@ def test_oracle_matches_per_term_reference():
             assert abs(2.0 * np.cos(theta) + 2.0 * np.cos(phi)) <= mu + 1e-12
 
 
+def _masked_grid(element, mu):
+    """|pi(a)| as one 720 x 720 grid in natural angle order, -1 on infeasible cells."""
+    terms = element.sorted_terms()
+    coeffs = np.array([coeff for _, coeff in terms])
+    p, q = np.array([word.generator_sums() for word, _ in terms]).T
+    theta = 2.0 * np.pi * np.arange(720) / 720
+    cos_t = 2.0 * np.cos(theta)
+    feasible = np.abs(cos_t[:, None] + cos_t[None, :]) <= mu
+    magnitude = np.abs((np.exp(1j * np.outer(theta, p)) * coeffs) @ np.exp(1j * np.outer(q, theta)))
+    magnitude[~feasible] = -1.0
+    return magnitude
+
+
 def _two_product_oracle(element, mu):
-    """The scan as one masked 720 x 720 grid per call, in natural angle order."""
+    """The scan as one masked grid per call: its first argmax, if above the antidiagonal."""
     terms = element.sorted_terms()
     if not terms:
         return 0.0, 0.0, 0.0
@@ -926,15 +939,10 @@ def _two_product_oracle(element, mu):
     curve = np.abs(np.exp(1j * (np.outer(theta, p) + np.outer(phi, q))) @ coeffs)
     i = int(np.argmax(curve))
     best = (float(curve[i]), float(theta[i]), float(phi[i]))
-    cos_t = 2.0 * np.cos(theta)
-    feasible = np.abs(cos_t[:, None] + cos_t[None, :]) <= mu
-    if feasible.any():
-        grid = (np.exp(1j * np.outer(theta, p)) * coeffs) @ np.exp(1j * np.outer(q, theta))
-        magnitude = np.abs(grid)
-        magnitude[~feasible] = -1.0
-        i, j = divmod(int(np.argmax(magnitude)), 720)
-        if float(magnitude[i, j]) > best[0]:
-            best = (float(magnitude[i, j]), float(theta[i]), float(theta[j]))
+    magnitude = _masked_grid(element, mu)
+    i, j = divmod(int(np.argmax(magnitude)), 720)
+    if float(magnitude[i, j]) > best[0]:
+        best = (float(magnitude[i, j]), float(theta[i]), float(theta[j]))
     return best
 
 
@@ -971,28 +979,19 @@ def test_oracle_is_bitwise_the_two_product_scan():
     # show on the second A.
     a, b = elements[0], elements[21]
     pairs += [(a, 2.0), (b, 2.0), (a, 2.0), (b, 0.5), (a, 0.5)]
+    # The best value ties, bit for bit, in two row blocks of the scan and
+    # beats the antidiagonal; the first block's cell must win. Found by a
+    # seeded search over 1-3 term elements with small exponents.
+    tied = parse_element("u^-2*v^-3 + 2*u^-1*v^2 + 2*u^-3*v^-1")
+    magnitude = _masked_grid(tied, 1.0)
+    rows, columns = np.nonzero(magnitude == magnitude.max())
+    assert len(set(rows // optimize._ORACLE_BLOCK)) == 2
+    theta = 2.0 * np.pi * np.arange(720) / 720
+    first = (float(magnitude.max()), float(theta[rows[0]]), float(theta[columns[0]]))
+    assert _two_product_oracle(tied, 1.0) == first
+    pairs.append((tied, 1.0))
     for element, mu in pairs:
         assert optimize._oracle_scan(element, mu) == _two_product_oracle(element, mu)
-
-
-def test_feasible_columns_are_the_mask_in_cosine_order():
-    theta = 2.0 * np.pi * np.arange(720) / 720
-    c = 2.0 * np.cos(theta)
-    order = np.argsort(c, kind="stable")
-    assert np.array_equal(order, optimize._oracle_axes()[1])
-    columns = np.arange(720)
-    # At the exact grid levels and their neighbours a search on limit - c_r
-    # miscounts rows by rounding, and the one-column steps correct them.
-    levels = [
-        mu
-        for level in _grid_levels(30)
-        for mu in (float(np.nextafter(level, -np.inf)), level, min(float(np.nextafter(level, np.inf)), 4.0))
-    ]
-    for mu in (0.0, 0.5, 2.0, 4.0, *levels):
-        mask = (np.abs(c[:, None] + c[None, :]) <= mu)[np.ix_(order, order)]
-        lo, hi = optimize._feasible_columns(mu)
-        ranges = (columns >= lo[:, None]) & (columns < hi[:, None])
-        assert np.array_equal(mask, ranges)
 
 
 def test_curve_levels_equal_separate_estimates():
@@ -1045,9 +1044,9 @@ def test_new_element_scan_builds_the_grid_in_row_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The 4 MB magnitude grid and one block of products; a full 720 x 720
-    # complex product next to the grid would be about 12 MB.
-    assert peak < 6 << 20, peak
+    # The two factors and one block's products, magnitudes and mask: about
+    # 1.16 MiB. A whole 720 x 720 magnitude grid alone would be 4 MB.
+    assert peak < 2 << 20, peak
 
 
 def test_one_dim_oracle_checks_its_arguments():
