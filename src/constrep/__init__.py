@@ -9,8 +9,9 @@ the free group on two generators. It provides:
   and canonical printing;
 * :mod:`constrep.linalg` -- the unitary eigendecomposition and the one
   functional calculus, circle functions of a unitary, with the operator
-  norm and its top singular triple, all on LAPACK, for matrices that the
-  package built or validated;
+  norm and its top singular triple, all on LAPACK except at 1 x 1, which
+  is read in scalar arithmetic, for matrices that the package built or
+  validated;
 * :mod:`constrep.representation` -- constrained pairs, evaluation of ring
   elements, the spectral deformation and exact retraction between
   constraint levels, and JSON persistence;

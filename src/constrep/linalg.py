@@ -5,10 +5,12 @@ Provides the few linear-algebra primitives everything else is built on:
 calculus (every matrix function is a circle function of a unitary); ``eigh``
 behind the ascent's :func:`unitary_exponential`; ``eigvalsh`` for the
 constraint value; one SVD for the operator norm and the top singular triple,
-so no result depends on an iteration cap; and Haar-random unitaries. The
-matrix functions are internal plumbing: they check nothing and take square
-complex arrays that the package built, or checked with
-:func:`unitarity_defect` where they entered.
+so no result depends on an iteration cap; and Haar-random unitaries. A
+1 x 1 matrix, the image of a character, is scored and checked in scalar
+arithmetic instead: its norm is ``abs`` of its entry, which an SVD can read
+ulps too high. The matrix functions are internal plumbing: they check
+nothing and take square complex arrays that the package built, or checked
+with :func:`unitarity_defect` where they entered.
 
 A unitary matrix is diagonalized through the commuting Hermitian pair
 H = (W + W*)/2 and S = (W - W*)/(2i): eigenvectors of H are refined inside
@@ -36,8 +38,11 @@ class NonUnitaryError(ValueError):
 
 
 def unitarity_defect(w):
-    """Frobenius norm of W*W - I."""
+    """Frobenius norm of W*W - I; |conj(z) z - 1| for a 1 x 1 matrix W = (z)."""
     w = np.asarray(w, dtype=complex)
+    if w.shape == (1, 1):
+        z = complex(w[0, 0])
+        return abs(z.conjugate() * z - 1.0)
     eye = np.eye(w.shape[0])
     return float(np.linalg.norm(w.conj().T @ w - eye))
 
@@ -104,19 +109,36 @@ def unitary_exponential(dec, scale=1.0):
     return (dec.vectors * phases) @ dec.vectors.conj().T
 
 
+def _scalar_triple(a):
+    """Top singular triple of a 1 x 1 matrix (z): sigma = |z|, exactly as
+    ``abs`` rounds it; the left vector is the phase z/|z| (1 where z = 0)
+    and the right vector is 1, so left^* A right = sigma to one ulp."""
+    z = complex(a[0, 0])
+    sigma = abs(z)
+    phase = z / sigma if sigma else 1.0
+    return sigma, np.array([phase], dtype=complex), np.ones(1, dtype=complex)
+
+
 def top_singular_triple(a):
     """Largest singular value of a built square matrix A, with its singular vectors.
 
-    One LAPACK SVD. Returns ``(sigma, left, right, converged)`` with
-    ``left^* A right = sigma``, so the triple certifies its own value;
-    ``converged`` is always True and is kept for callers that read it.
+    One LAPACK SVD, or at d = 1 :func:`_scalar_triple`. Returns
+    ``(sigma, left, right, converged)`` with ``left^* A right = sigma``, so
+    the triple certifies its own value; ``converged`` is always True and is
+    kept for callers that read it.
     """
+    if a.shape == (1, 1):
+        return (*_scalar_triple(a), True)
     left, s, right_h = np.linalg.svd(a)
     return float(s[0]), left[:, 0], right_h[0].conj(), True
 
 
 def operator_norm(a):
-    """Operator (spectral) norm of a built square matrix: its top singular value."""
+    """Operator (spectral) norm of a built square matrix: its top singular
+    value. At d = 1 it is |a_11| by :func:`top_singular_triple`'s own rule,
+    so a character's norm and its triple's sigma are the same float."""
+    if a.shape == (1, 1):
+        return _scalar_triple(a)[0]
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 

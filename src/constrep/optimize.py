@@ -41,7 +41,8 @@ f = sum c z_u^p z_v^q over the (p, q, coeff) triples the oracle grid is built
 from. The direction is the gradient Re(conj(f) i sum c (p, q) z_u^p z_v^q)/|f|
 of |f| in (theta, phi), a step multiplies each scalar by e^(i step g), and
 the retraction applies the deformation circle map to both scalars at the
-level ``constraint_value`` computes for the 1 x 1 pair. This is the matrix
+level ``constraint_value`` computes for the 1 x 1 pair
+(:func:`~constrep.representation.character_level`). This is the matrix
 ascent at d = 1 in scalar arithmetic, O(terms) per step whatever the word
 lengths. Its step grows 1.5x after an accepted proposal, up to
 ``_INITIAL_STEP``, and halves after a rejected one, so a start that sits
@@ -49,7 +50,8 @@ within a step of a local maximum still climbs to it (a geometric decay
 stalls there once its steps overshoot the maximum). The loop and its stall
 and target rules are shared, and the start's value and the value of a moved
 witness are still computed on the matrix pair, so a reported value is the
-recomputed norm of its witness.
+recomputed norm of its witness: ``top_singular_triple`` of the 1 x 1 image,
+which reads |a_11| by the rule ``operator_norm`` shares, with no SVD.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ import numpy as np
 from .freegroup import GroupRingElement
 from .representation import (
     Representation,
+    character_level,
     check_mu,
     constraint_value,
     evaluate,
@@ -556,13 +559,6 @@ def _torus_gradient(terms, point):
     return g_u, g_v
 
 
-def _torus_level(z_u, z_v):
-    """``constraint_value`` of the 1 x 1 pair, by the same arithmetic: the
-    sum U + U* + V + V* is the real x below, and eigvalsh returns it."""
-    x = ((z_u.real + z_u.real) + z_v.real) + z_v.real
-    return min(max(0.0, x, -x), 4.0)
-
-
 def _torus_retraction(z, scale):
     """``deformation_function(t)(z)`` for a scalar z and scale = 1 - t, bit
     for bit, signed zeros included, in ``math`` arithmetic.
@@ -602,7 +598,7 @@ def _torus_moves(element, mu):
     def propose(point, direction, step):
         z_u = point[0] * cmath.rect(1.0, step * direction[0])
         z_v = point[1] * cmath.rect(1.0, step * direction[1])
-        m = _torus_level(z_u, z_v)
+        m = character_level(z_u, z_v)
         if m <= mu:
             return z_u, z_v
         scale = 1.0 - (1.0 - mu / m)  # the 1 - t of deformation_function(t)
@@ -687,7 +683,7 @@ def _radial_start(s, mu):
     a = s / 4.0
     while True:
         z = complex(a, math.sqrt((1.0 - a) * (1.0 + a)))
-        if _torus_level(z, z) <= mu:
+        if character_level(z, z) <= mu:
             # Unit scalars: the witness check of estimate_norm covers them.
             return Representation._unchecked(np.array([[z]]), np.array([[z]]))
         a = math.nextafter(a, 0.0)

@@ -170,11 +170,24 @@ def evaluate(rep, element, *, tables=None):
     return out
 
 
+def character_level(z_u, z_v):
+    """``constraint_value`` of the character u -> z_u, v -> z_v, for complex
+    scalars: U + U* + V + V* is the real x below, summed in the order the
+    matrix sum adds its entries, so it is what eigvalsh returns for the
+    1 x 1 sum."""
+    x = ((z_u.real + z_u.real) + z_v.real) + z_v.real
+    return min(max(0.0, x, -x), 4.0)
+
+
 def constraint_value(rep):
     """||U + U* + V + V*||, clamped into [0, 4] (the range for unitary pairs).
 
-    The sum is Hermitian, so its norm is its largest |eigenvalue|.
+    The sum is Hermitian, so its norm is its largest |eigenvalue|, from
+    eigvalsh; a 1 x 1 pair, a character, reads its level from
+    :func:`character_level` in scalar arithmetic, with the same result.
     """
+    if rep.u.shape == (1, 1):
+        return character_level(complex(rep.u[0, 0]), complex(rep.v[0, 0]))
     x = rep.u + rep.u.conj().T + rep.v + rep.v.conj().T
     eigenvalues = np.linalg.eigvalsh(x)
     # max keeps its first argument on a tie, so a level-zero pair reads +0.0.

@@ -463,9 +463,18 @@ def test_torus_gradient_is_the_subgradient_of_the_scalar_pair():
             assert np.max(np.abs(got - want)) <= tol * np.linalg.norm(want)
 
 
+def _eigvalsh_level(z_u, z_v):
+    """The matrix rule of constraint_value on the 1 x 1 pair: eigvalsh of
+    U + U* + V + V*, clamped into [0, 4]."""
+    u, v = np.array([[z_u]]), np.array([[z_v]])
+    eigenvalues = np.linalg.eigvalsh(u + u.conj().T + v + v.conj().T)
+    return min(max(0.0, float(eigenvalues[-1]), -float(eigenvalues[0])), 4.0)
+
+
 def test_torus_level_is_the_constraint_value_bit_for_bit():
     rng = np.random.default_rng(12)
     angles = rng.uniform(0.0, 2.0 * math.pi, size=(1000, 2))
+    pairs = []
     antidiagonal = 0
     for k, (theta, phi) in enumerate(angles):
         z_u = cmath.rect(1.0, theta)
@@ -476,10 +485,20 @@ def test_torus_level_is_the_constraint_value_bit_for_bit():
             z_v = complex(random_constrained(1, phi / 2.0, seed=k).v[0, 0])
         else:
             z_v = cmath.rect(1.0, phi)
-        level = optimize._torus_level(z_u, z_v)
-        want = constraint_value(_scalar_pair(z_u, z_v))
-        assert np.float64(level).tobytes() == np.float64(want).tobytes()
+        pairs.append((z_u, z_v))
     assert antidiagonal == 250
+    # +-1 and +-i with either sign of zero in each part: every pair of them,
+    # levels exactly 0 (1 and -1, i and i) and 4 (1 and 1) among them.
+    axes = [complex(a, b) for a in (1.0, -1.0) for b in (0.0, -0.0)]
+    axes += [complex(a, b) for a in (0.0, -0.0) for b in (1.0, -1.0)]
+    pairs += list(itertools.product(axes, repeat=2))
+    levels = set()
+    for z_u, z_v in pairs:
+        want = np.float64(_eigvalsh_level(z_u, z_v)).tobytes()
+        assert np.float64(representation.character_level(z_u, z_v)).tobytes() == want
+        assert np.float64(constraint_value(_scalar_pair(z_u, z_v))).tobytes() == want
+        levels.add(representation.character_level(z_u, z_v))
+    assert {0.0, 4.0} <= levels
 
 
 def test_torus_retraction_at_level_zero_lands_on_positive_zero():
@@ -488,7 +507,7 @@ def test_torus_retraction_at_level_zero_lands_on_positive_zero():
         start = random_constrained(1, 4.0, seed=seed)
         point = (complex(start.u[0, 0]), complex(start.v[0, 0]))
         z_u, z_v = propose(point, (0.6, 0.8), 0.1)
-        for level in (optimize._torus_level(z_u, z_v), constraint_value(_scalar_pair(z_u, z_v))):
+        for level in (representation.character_level(z_u, z_v), constraint_value(_scalar_pair(z_u, z_v))):
             assert level == 0.0 and math.copysign(1.0, level) == 1.0
         assert abs(z_u.imag) == abs(z_v.imag) == 1.0
 
@@ -514,7 +533,7 @@ def test_torus_retraction_is_the_deformation_function_bit_for_bit():
             # level of any such pair is +0.0.
             assert all(w.real == 0.0 and abs(w.imag) == 1.0 for w in got)
             for w in got[:16]:
-                level = optimize._torus_level(w, complex(-0.0, -1.0))
+                level = representation.character_level(w, complex(-0.0, -1.0))
                 assert level == 0.0 and math.copysign(1.0, level) == 1.0
 
 
@@ -1489,6 +1508,21 @@ def test_averaging_curve_closes_every_bracket():
             assert estimate.witness is curve.estimates[estimate.restart_index - 1].witness
 
 
+def test_averaging_curve_calls_no_dense_kernel(monkeypatch):
+    # Every level's witness is a character: its norm, level and unitarity
+    # defect are read in scalar arithmetic, with no SVD, eigvalsh or
+    # Frobenius norm.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense kernel called on the criterion-4 curve")
+
+    for name in ("svd", "eigvalsh", "norm"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    grid = np.arange(0.0, 4.0 + 1e-12, 0.25)
+    curve = norm_curve(averaging_element(), grid, OptimizerConfig())
+    assert list(curve.values) == [0.25 * k for k in range(17)]
+    assert [estimate.gap for estimate in curve.estimates] == [0.0] * 17
+
+
 def test_averaging_curve_brackets_are_exact_and_witnesses_feasible():
     # Criterion 4's curve: every witness is feasible exactly, with no
     # rounding allowance, and attains its upper bound, so no bracket inverts.
@@ -1499,12 +1533,36 @@ def test_averaging_curve_brackets_are_exact_and_witnesses_feasible():
         assert estimate.gap == 0.0
 
 
+_LEVEL_TWO_ELEMENTS = ("u + v", "u - v", "u + i*v", "u - i*v^-1", "i*u + v^-1")
+
+
+def test_brackets_at_level_two_are_not_inverted():
+    # Their witnesses are characters whose 1 x 1 image has modulus exactly
+    # 2.0; an SVD read it as 2 + 4.4e-16, above the upper bound 2.
+    cases = [(text, 2.0) for text in _LEVEL_TWO_ELEMENTS] + [("u + v", 3.5), ("u - v", 3.5)]
+    gaps = {case: estimate_norm(parse_element(case[0]), case[1]).gap for case in cases}
+    assert gaps == {case: 0.0 for case in cases}
+
+
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 1: at mu = 2 the oracle witness of these elements "
-    "evaluates to 2 + 4.4e-16 against the upper bound 2",
+    reason="ROADMAP item 1(b): the character's image is a power of 65536 "
+    "letters, whose rounding reads 2 + 2.8e-12 against the upper bound 2",
 )
-def test_brackets_at_level_two_are_not_inverted():
-    elements = ("u + v", "u - v", "u + i*v", "u - i*v^-1", "i*u + v^-1")
-    inverted = [text for text in elements if estimate_norm(parse_element(text), 2.0).gap < 0.0]
-    assert inverted == []
+def test_long_power_bracket_at_level_two_is_not_inverted():
+    config = OptimizerConfig(dims=(1,), restarts=1, max_steps=5)
+    assert estimate_norm(parse_element("u^65536*v^-65536 + u"), 2.0, config).gap >= 0.0
+
+
+def test_character_images_are_scored_in_scalar_arithmetic():
+    for text in _LEVEL_TWO_ELEMENTS:
+        element = parse_element(text)
+        estimate = estimate_norm(element, 2.0)
+        assert estimate.dim_used == 1
+        a = evaluate(estimate.witness, element)
+        sigma, left, right, _ = linalg.top_singular_triple(a)
+        assert sigma == operator_norm(a) == abs(a[0, 0]) == 2.0
+        assert abs(complex(left.conj() @ a @ right) - sigma) <= math.ulp(sigma)
+    sigma, left, right, _ = linalg.top_singular_triple(np.zeros((1, 1), dtype=complex))
+    assert sigma == operator_norm(np.zeros((1, 1), dtype=complex)) == 0.0
+    assert abs(left[0]) == abs(right[0]) == 1.0
