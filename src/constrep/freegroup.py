@@ -23,6 +23,23 @@ _LETTER_RANK = {("u", True): 0, ("u", False): 1, ("v", True): 2, ("v", False): 3
 # syllable, evaluating one product per syllable, the ascent gradient one step
 # per 64 letters.
 MAX_EXPONENT = 2**16
+# Largest element the parser and the optimizer accept, in terms and in
+# syllables over all words: the 1-D oracle scan holds about 35 KB per term
+# (71 MB for 2048), and an objective at size d takes one d x d product per
+# syllable (about 0.8 s for 4096 at d = 128 on one core of a 2-core x86 box).
+MAX_TERMS = 2048
+MAX_SYLLABLES = 4096
+
+
+def check_size(element):
+    """Raise ValueError unless ``element`` has at most MAX_TERMS terms and
+    MAX_SYLLABLES syllables over all its words."""
+    terms = len(element.terms)
+    if terms > MAX_TERMS:
+        raise ValueError(f"element has {terms} terms, more than {MAX_TERMS}")
+    syllables = sum(len(word.syllables) for word in element.terms)
+    if syllables > MAX_SYLLABLES:
+        raise ValueError(f"element has {syllables} syllables, more than {MAX_SYLLABLES}")
 
 
 class ParseError(ValueError):
@@ -98,8 +115,12 @@ class Word:
 
     def generator_sums(self):
         """Total exponent of each generator: returns ``(sum_u, sum_v)``."""
-        p = sum(power for gen, power in self.syllables if gen == "u")
-        q = sum(power for gen, power in self.syllables if gen == "v")
+        p = q = 0
+        for gen, power in self.syllables:
+            if gen == "u":
+                p += power
+            else:
+                q += power
         return p, q
 
     def sort_key(self):
@@ -373,6 +394,10 @@ class _Parser:
         # Terms of distinct words can still overflow together, in the l1 norm.
         if not cmath.isfinite(element.coefficient_l1()):
             raise ParseError("coefficient overflow", self.tokens[0][2])
+        try:
+            check_size(element)
+        except ValueError as exc:
+            raise ParseError(str(exc), self.tokens[0][2]) from None
         return element
 
     # term := coeff ['*' word] | word

@@ -8,9 +8,11 @@ constraint value; one SVD for the operator norm and the top singular triple,
 so no result depends on an iteration cap; and Haar-random unitaries. A
 1 x 1 matrix, the image of a character, is scored and checked in scalar
 arithmetic instead: its norm is ``abs`` of its entry, which an SVD can read
-ulps too high. The matrix functions are internal plumbing: they check
-nothing and take square complex arrays that the package built, or checked
-with :func:`unitarity_defect` where they entered.
+ulps too high, and the entry itself comes from the scalar rule of
+:mod:`constrep.representation`, with no matrix product. The matrix
+functions are internal plumbing: they check nothing and take square complex
+arrays that the package built, or checked with :func:`unitarity_defect`
+where they entered.
 
 A unitary matrix is diagonalized through the commuting Hermitian pair
 H = (W + W*)/2 and S = (W - W*)/(2i): eigenvectors of H are refined inside

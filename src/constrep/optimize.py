@@ -37,21 +37,24 @@ reused, at a shorter step, after each rejected proposal.
 A 1-dimensional start ascends on the torus of characters instead: the pair
 is two unit scalars (z_u, z_v) = (e^(i theta), e^(i phi)), a word with
 generator sums (p, q) acts as z_u^p z_v^q, and the value is |f| for
-f = sum c z_u^p z_v^q over the (p, q, coeff) triples the oracle grid is built
-from. The direction is the gradient Re(conj(f) i sum c (p, q) z_u^p z_v^q)/|f|
-of |f| in (theta, phi), a step multiplies each scalar by e^(i step g), and
-the retraction applies the deformation circle map to both scalars at the
-level ``constraint_value`` computes for the 1 x 1 pair
+f = sum c z_u^p z_v^q, the scalar rule
+(:func:`~constrep.representation._character_waves`) that ``evaluate`` and
+:func:`_objective` apply to every 1 x 1 pair. The direction is the gradient
+Re(conj(f) i sum c (p, q) z_u^p z_v^q)/|f| of |f| in (theta, phi), a step
+multiplies each scalar by e^(i step g), and the retraction applies the
+deformation circle map to both scalars at the level ``constraint_value``
+computes for the 1 x 1 pair
 (:func:`~constrep.representation.character_level`). This is the matrix
 ascent at d = 1 in scalar arithmetic, O(terms) per step whatever the word
 lengths. Its step grows 1.5x after an accepted proposal, up to
 ``_INITIAL_STEP``, and halves after a rejected one, so a start that sits
 within a step of a local maximum still climbs to it (a geometric decay
 stalls there once its steps overshoot the maximum). The loop and its stall
-and target rules are shared, and the start's value and the value of a moved
-witness are still computed on the matrix pair, so a reported value is the
-recomputed norm of its witness: ``top_singular_triple`` of the 1 x 1 image,
-which reads |a_11| by the rule ``operator_norm`` shares, with no SVD.
+and target rules are shared. Since the torus value at a pair is the
+objective's value there, bit for bit, a moved witness is the 1 x 1 pair of
+its last accepted scalars at the torus value, and a reported value is the
+recomputed norm of its witness, ``abs`` of the scalar rule's image, with
+no power table, matrix product or SVD.
 """
 
 from __future__ import annotations
@@ -65,9 +68,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freegroup import GroupRingElement
+from .freegroup import GroupRingElement, check_size
 from .representation import (
     Representation,
+    _character_terms,
+    _character_waves,
     character_level,
     check_mu,
     constraint_value,
@@ -177,9 +182,11 @@ def check_seed(seed):
 
 
 def _check_element(element):
-    """Coefficient l1 norm of a GroupRingElement; raises unless it is finite."""
+    """Coefficient l1 norm of a GroupRingElement; raises unless it is finite
+    and the element is within ``freegroup``'s size caps."""
     if not isinstance(element, GroupRingElement):
         raise TypeError("expected a GroupRingElement")
+    check_size(element)
     l1 = float(element.coefficient_l1())
     if not math.isfinite(l1):
         raise ValueError(f"element coefficients must have a finite l1 norm, got {l1}")
@@ -236,16 +243,6 @@ class NormCurve:
 # --------------------------------------------------------------------------
 
 
-def _torus_terms(element):
-    """(p, q, coeff) per term in canonical order, (p, q) the word's generator sums.
-
-    The character u -> e^(i theta), v -> e^(i phi) sends the word to
-    e^(i (p theta + q phi)); the oracle grid and the torus ascent both read
-    an element through these triples.
-    """
-    return tuple((*word.generator_sums(), coeff) for word, coeff in element.sorted_terms())
-
-
 @functools.cache
 def _oracle_axes():
     """(theta, 2cos(theta)) at the ``ORACLE_GRID`` angles of the oracle grid.
@@ -273,7 +270,9 @@ def _oracle_scan(element, mu):
     """
     if element.is_zero:
         return 0.0, 0.0, 0.0
-    p, q, coeffs = (np.array(column) for column in zip(*_torus_terms(element)))
+    # Canonical term order, so equal elements scan alike.
+    terms = ((*word.generator_sums(), coeff) for word, coeff in element.sorted_terms())
+    p, q, coeffs = (np.array(column) for column in zip(*terms))
     theta, cos = _oracle_axes()
 
     # The curve phi = pi - theta is feasible at every constraint level up to
@@ -346,47 +345,72 @@ def _radial_coefficients(element):
 
 
 def _x_polynomial(coeffs):
-    """q with sum_n c_n chi_n = q(x), highest power first.
+    """q with sum_n c_n chi_n = q(x), highest power first, as a complex
+    array, the form ``np.polyval`` reads.
 
     The sphere sums satisfy chi_n = P_n(x) with P_0 = 1, P_1 = s,
     P_2 = s^2 - 4 and P_(n+1) = s P_n - 3 P_(n-1), from x chi_1 = chi_2 + 4
-    and x chi_n = chi_(n+1) + 3 chi_(n-1) for n >= 2.
+    and x chi_n = chi_(n+1) + 3 chi_(n-1) for n >= 2. The coefficients are
+    combined in plain Python, lowest power first.
     """
-    s = np.array([1.0, 0.0])
-    spheres = [np.array([1.0]), s]
+    spheres = [[1.0], [0.0, 1.0]]
     for n in range(1, len(coeffs) - 1):
         shift = 4.0 if n == 1 else 3.0
-        spheres.append(np.polysub(np.polymul(s, spheres[n]), shift * spheres[n - 1]))
-    q = np.zeros(1, dtype=complex)
-    for c, p in zip(coeffs, spheres):
-        q = np.polyadd(q, c * p)
-    return q
+        sphere = [0.0, *spheres[n]]
+        for i, a in enumerate(spheres[n - 1]):
+            sphere[i] -= shift * a
+        spheres.append(sphere)
+    q = [0j] * len(coeffs)
+    for c, sphere in zip(coeffs, spheres):
+        for i, a in enumerate(sphere):
+            q[i] += c * a
+    return np.array(q[::-1])
 
 
 @functools.lru_cache(maxsize=1)
 def _radial_polynomial(coeffs):
-    """(q, critical points of |q|^2 on the real line) for sphere coefficients ``coeffs``.
+    """(q, critical points of |q|^2 on the real line) for sphere coefficients
+    ``coeffs``: q as a tuple of complex coefficients, highest power first.
 
     Neither depends on mu, so the levels of a curve share one computation.
+    A slope of degree 1 has its root in closed form, the value ``np.roots``
+    reads off its 1 x 1 companion matrix; only a q of degree 2 or more
+    calls ``np.roots``.
     """
-    q = _x_polynomial(coeffs)
-    # On the real line |q|^2 = q * conj(q), a polynomial with real coefficients.
-    slope = np.polyder(np.polymul(q, q.conj()).real)
-    return q, np.roots(slope).real
+    q = _x_polynomial(coeffs).tolist()
+    # On the real line |q|^2 = q * conj(q), a polynomial with real
+    # coefficients sum_(i + j = k) Re(q_i conj(q_j)).
+    square = [0.0] * (2 * len(q) - 1)
+    for i, a in enumerate(q):
+        for j, b in enumerate(q):
+            square[i + j] += a.real * b.real + a.imag * b.imag
+    top = len(square) - 1
+    slope = [(top - k) * r for k, r in enumerate(square[:-1])]
+    if len(slope) == 2 and slope[0]:
+        critical = [-slope[1] / slope[0]]
+    else:
+        critical = np.roots(slope).real.tolist()
+    return tuple(q), tuple(critical)
 
 
 def _radial_peak(element, mu):
     """(max |q(s)|, s*) over |s| <= mu for a radial element q(x), else None:
     the maximum over the endpoints and the critical points of |q|^2 clipped
-    to the interval, and the first of those points that attains it."""
+    to the interval, in that order, and the first of those points that
+    attains it. q is evaluated by Horner's rule in Python complex arithmetic."""
     coeffs = _radial_coefficients(element)
     if coeffs is None:
         return None
     q, critical = _radial_polynomial(tuple(coeffs))
-    points = np.concatenate(([-mu, mu], np.clip(critical, -mu, mu)))
-    magnitudes = np.abs(np.polyval(q, points))
-    i = int(np.argmax(magnitudes))
-    return float(magnitudes[i]), float(points[i])
+    best = None
+    for s in (-mu, mu, *(min(max(c, -mu), mu) for c in critical)):
+        y = q[0]
+        for c in q[1:]:
+            y = y * s + c
+        magnitude = abs(y)
+        if best is None or magnitude > best[0]:
+            best = magnitude, s
+    return best
 
 
 def upper_bound(element, mu):
@@ -420,8 +444,13 @@ def _bound_and_peak(element, mu):
 def _objective(element, rep):
     """(sigma, left, right, tables): the top singular triple of pi(element)
     and the power tables it was evaluated with, which :func:`_subgradient`
-    reuses at the same pair."""
-    tables = power_tables(rep, element)
+    reuses at the same pair.
+
+    At d = 1 no table is built (``tables`` is None): the character's image
+    is the scalar rule's [[f]] and sigma is |f|, the value the torus ascent
+    reads at the same pair.
+    """
+    tables = None if rep.dim == 1 else power_tables(rep, element)
     sigma, left, right, _ = top_singular_triple(evaluate(rep, element, tables=tables))
     return sigma, left, right, tables
 
@@ -535,10 +564,12 @@ def _matrix_moves(element, mu):
 def _torus_objective(terms, z_u, z_v):
     """(|f|, point) at the character (z_u, z_v), f = sum c z_u^p z_v^q over ``terms``.
 
-    The point (z_u, z_v, f, waves) keeps each term's c z_u^p z_v^q for
-    :func:`_torus_gradient`.
+    The waves c z_u^p z_v^q are the scalar rule's
+    (:func:`~constrep.representation._character_waves`), so |f| is the norm
+    ``evaluate`` gives the 1 x 1 pair. The point (z_u, z_v, f, waves) keeps
+    them for :func:`_torus_gradient`.
     """
-    waves = [c * z_u**p * z_v**q for p, q, c in terms]
+    waves = _character_waves(terms, z_u, z_v)
     f = sum(waves)
     return abs(f), (z_u, z_v, f, waves)
 
@@ -583,7 +614,7 @@ def _torus_moves(element, mu):
     grows an accepted step by ``_TORUS_GROWTH``, up to ``_INITIAL_STEP``, and
     shrinks a rejected one by ``_TORUS_SHRINK``.
     """
-    terms = _torus_terms(element)
+    terms = _character_terms(element)
 
     def score(pair):
         return _torus_objective(terms, *pair)
@@ -623,9 +654,11 @@ def _ascend(element, mu, start, config, target=np.inf):
     gives the step cap.
 
     The moves, the step rule included, come from the start's geometry. A
-    1-dimensional start steps on the torus (:func:`_torus_moves`); its
-    returned value is the matrix objective of the start or, if it moved and
-    that is not lower, of the moved pair.
+    1-dimensional start steps on the torus (:func:`_torus_moves`), which
+    scores a pair by the scalar rule :func:`_objective` applies at d = 1,
+    so at every d the returned value is the norm of the returned witness:
+    the start itself, or the last accepted point (at d = 1, the 1 x 1 pair
+    of its two scalars).
     """
     start_value, left, right, tables = _objective(element, start)
     if start_value >= target:
@@ -665,15 +698,13 @@ def _ascend(element, mu, start, config, target=np.inf):
                 converged = True
                 break
     converged = converged or value >= target
+    if point is origin:
+        return value, start, steps, converged
     if start.dim > 1:
         return value, point[0], steps, converged
-    if point is not origin:
-        # Scalars of modulus 1 up to rounding: estimate_norm checks its witness.
-        witness = Representation._unchecked(np.array([[point[0]]]), np.array([[point[1]]]))
-        value = _objective(element, witness)[0]
-        if value >= start_value:
-            return value, witness, steps, converged
-    return start_value, start, steps, converged
+    # Scalars of modulus 1 up to rounding: estimate_norm checks its witness.
+    witness = Representation._unchecked(np.array([[point[0]]]), np.array([[point[1]]]))
+    return value, witness, steps, converged
 
 
 def _radial_start(s, mu):

@@ -5,6 +5,10 @@ functional is ``||U + U* + V + V*||``; a pair is mu-constrained when that
 value is at most mu. The key operation is an exact spectral retraction: the
 one-parameter deformation ``deform`` scales the constraint by exactly (1-t),
 so ``retract_to`` can land on a target level in one shot.
+
+A 1 x 1 pair is a character u -> z_u, v -> z_v, read in scalar arithmetic:
+``evaluate`` applies the scalar rule :func:`_character_waves`, which the
+optimizer shares, and ``constraint_value`` reads :func:`character_level`.
 """
 
 from __future__ import annotations
@@ -149,13 +153,19 @@ def evaluate(rep, element, *, tables=None):
     One matrix product per syllable, with powers read from
     :func:`power_tables` (built here unless ``tables`` is given). A word
     whose syllables all have power +-1 is multiplied out letter by letter,
-    left to right, from its first letter's image.
+    left to right, from its first letter's image. A 1 x 1 pair, a character,
+    is evaluated by the scalar rule :func:`_character_waves` instead, with
+    no tables and no matrix product; ``tables`` is not read there.
     """
     if not isinstance(element, GroupRingElement):
         raise TypeError("expected a GroupRingElement")
+    d = rep.dim
+    if d == 1:
+        terms = _character_terms(element)
+        waves = _character_waves(terms, complex(rep.u[0, 0]), complex(rep.v[0, 0]))
+        return np.array([[sum(waves)]], dtype=complex)
     if tables is None:
         tables = power_tables(rep, element)
-    d = rep.dim
     images = letter_images(rep)
     out = np.zeros((d, d), dtype=complex)
     for word, coeff in element.terms.items():
@@ -168,6 +178,33 @@ def evaluate(rep, element, *, tables=None):
                 mat = mat @ _syllable_image(images, tables, *syllable)
         out = out + coeff * mat
     return out
+
+
+def _character_terms(element):
+    """(p, q, coeff) per term in term order, (p, q) the word's generator sums.
+
+    A character u -> z_u, v -> z_v sends a word to z_u^p z_v^q, so the
+    scalar rule and the torus ascent read an element through these triples.
+    """
+    return tuple((*word.generator_sums(), coeff) for word, coeff in element.terms.items())
+
+
+def _character_waves(terms, z_u, z_v):
+    """The scalar rule: c (z_u^p z_v^q) for each (p, q, c) of ``terms``.
+
+    These are the terms' images under the character u -> z_u, v -> z_v,
+    and their sum in term order is the element's image f: :func:`evaluate`
+    at d = 1 returns [[f]], and the optimizer's objective and torus ascent
+    read the same sum. A negative power is taken of the conjugate, the
+    inverse letter's image, so a word and its inverse have exactly conjugate
+    images (u + u^-1 is real to the last bit, as U + U* is). Powers are
+    Python's ``**``, two per term whatever the word's length.
+    """
+    bar_u, bar_v = z_u.conjugate(), z_v.conjugate()
+    return [
+        c * ((z_u if p > 0 else bar_u) ** abs(p) * (z_v if q > 0 else bar_v) ** abs(q))
+        for p, q, c in terms
+    ]
 
 
 def character_level(z_u, z_v):

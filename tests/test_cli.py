@@ -8,7 +8,8 @@ import tracemalloc
 import pytest
 from conftest import character, run_cli
 
-from constrep import cli, optimize
+from constrep import cli, freegroup, optimize
+from constrep.freegroup import ParseError, parse_element
 from constrep.linalg import MAX_DIM
 from constrep.optimize import NormEstimate
 from constrep.representation import constraint_value, load_representation
@@ -261,3 +262,33 @@ def test_size_over_its_cap_exits_one_before_allocating(args, capsys, tmp_path, m
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def _rejected_where_it_enters(at_cap, over, grown, message):
+    """``at_cap`` parses; ``over`` is a parse error and a usage error (exit
+    2); ``grown``, built by arithmetic past the parser, is refused by every
+    optimize entry point before any work."""
+    assert parse_element(at_cap)
+    with pytest.raises(ParseError, match=message):
+        parse_element(over)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["estimate", "-e", over, "-m", "1"])
+    assert info.value.code == 2
+    for entry in (optimize.upper_bound, optimize.one_dim_oracle, optimize.estimate_norm):
+        with pytest.raises(ValueError, match=message):
+            entry(grown, 1.0)
+
+
+def test_term_count_over_its_cap_is_rejected():
+    # One syllable per term, so the syllable cap is not reached.
+    n = freegroup.MAX_TERMS
+    at_cap = " + ".join(f"u^{k}" for k in range(1, n + 1))
+    grown = parse_element(at_cap) + parse_element(f"u^{n + 1}")
+    _rejected_where_it_enters(at_cap, f"{at_cap} + u^{n + 1}", grown, "terms")
+
+
+def test_syllable_count_over_its_cap_is_rejected():
+    # One word of alternating letters; its last letter is v.
+    at_cap = "*".join("uv"[i % 2] for i in range(freegroup.MAX_SYLLABLES))
+    grown = parse_element(at_cap) * parse_element("u")
+    _rejected_where_it_enters(at_cap, at_cap + "*u", grown, "syllables")

@@ -124,7 +124,9 @@ def _exponential(h, scale):
 
 
 def _check_gradient_by_finite_differences(element, rep, eps=1e-6):
-    _, left, right, tables = optimize._objective(element, rep)
+    # At d = 1 the objective builds no tables; the matrix gradient needs them.
+    _, left, right, _ = optimize._objective(element, rep)
+    tables = power_tables(rep, element)
     g_u, g_v = optimize._subgradient(element, rep, left, right, tables)
     assert np.linalg.norm(g_u - g_u.conj().T) < 1e-12
     assert np.linalg.norm(g_v - g_v.conj().T) < 1e-12
@@ -197,7 +199,8 @@ def _reference_ascent(element, mu, start, config):
     returns _ascend's 4-tuple and the number of rejected proposals."""
     next_step = _torus_step if start.dim == 1 else _geometric_step
     current = start
-    value, left, right, tables = optimize._objective(element, current)
+    value, left, right, _ = optimize._objective(element, current)
+    tables = power_tables(current, element)
     history = [value]
     step = optimize._INITIAL_STEP
     steps, converged, rejected = 0, False, 0
@@ -212,11 +215,11 @@ def _reference_ascent(element, mu, start, config):
             _exponential(g_v / scale, step) @ current.v,
         )
         proposal = retract_to(proposal, mu)
-        new_value, new_left, new_right, new_tables = optimize._objective(element, proposal)
+        new_value, new_left, new_right, _ = optimize._objective(element, proposal)
         accepted = new_value > value
         if accepted:
             current, value, left, right = proposal, new_value, new_left, new_right
-            tables = new_tables
+            tables = power_tables(current, element)
         else:
             rejected += 1
         steps = k
@@ -238,7 +241,7 @@ def _reference_torus_ascent(element, mu, start, config, next_step=_torus_step):
     proposal's level taken from ``constraint_value`` of the 1 x 1 pair and
     its retraction from ``deformation_function``; returns _ascend's 4-tuple
     and the number of rejected proposals."""
-    terms = optimize._torus_terms(element)
+    terms = representation._character_terms(element)
     start_value = optimize._objective(element, start)[0]
     value, point = optimize._torus_objective(terms, complex(start.u[0, 0]), complex(start.v[0, 0]))
     history = [value]
@@ -360,8 +363,11 @@ def test_torus_ascent_matches_the_matrix_ascent(monkeypatch):
         assert decisions.count(False) == rejected
         score, direction, propose, _ = optimize._matrix_moves(element, mu)
         for point, step, (z_u, z_v) in proposals:
-            value, matrix_point = score(_scalar_pair(point[0], point[1]))
+            pair = _scalar_pair(point[0], point[1])
+            value, matrix_point = score(pair)
             assert abs(abs(point[2]) - value) <= 1e-12 * max(1.0, value)
+            # At d = 1 the objective builds no tables; the matrix gradient needs them.
+            matrix_point = (*matrix_point[:3], power_tables(pair, element))
             pair = propose(matrix_point, direction(matrix_point), step)
             assert abs(pair.u[0, 0] - z_u) <= 1e-12
             assert abs(pair.v[0, 0] - z_v) <= 1e-12
@@ -452,10 +458,11 @@ def test_torus_gradient_is_the_subgradient_of_the_scalar_pair():
     cases = [(_long_word_element(0), 1e-12), (_long_word_element(1), 1e-12)]
     cases.append((parse_element("u^65536*v^-65536 + u"), 1e-9))
     for element, tol in cases:
-        terms = optimize._torus_terms(element)
+        terms = representation._character_terms(element)
         for seed in range(10):
             rep = random_constrained(1, 4.0, seed=(seed, 1))
-            _, left, right, tables = optimize._objective(element, rep)
+            _, left, right, _ = optimize._objective(element, rep)
+            tables = power_tables(rep, element)
             g_u, g_v = optimize._subgradient(element, rep, left, right, tables)
             want = np.array([g_u[0, 0].real, g_v[0, 0].real])
             _, point = optimize._torus_objective(terms, complex(rep.u[0, 0]), complex(rep.v[0, 0]))
@@ -772,18 +779,28 @@ def test_evaluate_equals_the_identity_first_products():
     match the loop exactly. A longer syllable W^k is read from a power table
     filled by doubling (W^3 = W (W W), not (W W) W), so its products are
     grouped differently and agree only to rounding: within
-    8 * letters * eps * sum |coeff| for unitary images.
+    8 * letters * eps * sum |coeff| for unitary images. At d = 1 the image
+    is the scalar rule's, in Python complex arithmetic, so it meets the
+    loop, whose complex products numpy computes with fused multiply-adds,
+    within that bound for every word.
     """
-    x = averaging_element()
-    for dim in (1, 2, 4, 8):
-        rep = random_constrained(dim, 4.0, seed=(99, dim))
-        for e in (x, x * 0.5 - 1.0, parse_element("u*v^-1*u - 2i*v*u")):
-            assert np.array_equal(evaluate(rep, e), _identity_first_evaluate(rep, e))
 
     def check_rounding(rep, e):
         letters = max(len(w) for w in e.terms)
         error = np.max(np.abs(evaluate(rep, e) - _identity_first_evaluate(rep, e)))
         assert error <= 8 * letters * np.finfo(float).eps * e.coefficient_l1()
+
+    def check_exact(rep, e):
+        if rep.dim == 1:
+            check_rounding(rep, e)
+        else:
+            assert np.array_equal(evaluate(rep, e), _identity_first_evaluate(rep, e))
+
+    x = averaging_element()
+    for dim in (1, 2, 4, 8):
+        rep = random_constrained(dim, 4.0, seed=(99, dim))
+        for e in (x, x * 0.5 - 1.0, parse_element("u*v^-1*u - 2i*v*u")):
+            check_exact(rep, e)
 
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -792,7 +809,7 @@ def test_evaluate_equals_the_identity_first_products():
         for dim in (1, 2, 4, 8):
             rep = random_constrained(dim, 4.0, seed=(seed, dim))
             for e in (single, single + 1.5):  # with and without the empty word
-                assert np.array_equal(evaluate(rep, e), _identity_first_evaluate(rep, e))
+                check_exact(rep, e)
             check_rounding(rep, element)
             check_rounding(rep, element + 1.5)
     # Powers above 64 come from the table's last row and a remainder row.
@@ -875,7 +892,8 @@ def test_subgradient_skipping_empty_letter_kinds_is_bitwise_the_reference():
     for index, element in enumerate(elements):
         reps = [random_constrained(dim, 4.0, seed=(index, dim)) for dim in (1, 2, 4)]
         for rep in reps + real_pairs:
-            _, left, right, tables = optimize._objective(element, rep)
+            _, left, right, _ = optimize._objective(element, rep)
+            tables = power_tables(rep, element)
             got = optimize._subgradient(element, rep, left, right, tables)
             want = _reference_subgradient(element, rep, left, right, tables)
             for g, w in zip(got, want):
@@ -1523,6 +1541,25 @@ def test_averaging_curve_calls_no_dense_kernel(monkeypatch):
     assert [estimate.gap for estimate in curve.estimates] == [0.0] * 17
 
 
+def test_averaging_curve_calls_no_numpy_polynomial_or_power_table(monkeypatch):
+    # q(s) = s for the averaging element: the slope of |q|^2 has degree 1,
+    # so its root is closed-form, the peak is Horner's rule in Python, and
+    # a character's image needs no power table.
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy polynomial or power table on the criterion-4 curve")
+
+    names = ("roots", "polyval", "polymul", "polyadd", "polysub", "polyder", "concatenate", "clip", "argmax")
+    for name in names:
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(representation, "power_tables", refuse)
+    monkeypatch.setattr(optimize, "power_tables", refuse)
+    optimize._radial_polynomial.cache_clear()
+    grid = np.arange(0.0, 4.0 + 1e-12, 0.25)
+    curve = norm_curve(averaging_element(), grid, OptimizerConfig())
+    assert optimize._radial_polynomial.cache_info().misses == 1
+    assert list(curve.values) == [0.25 * k for k in range(17)]
+
+
 def test_averaging_curve_brackets_are_exact_and_witnesses_feasible():
     # Criterion 4's curve: every witness is feasible exactly, with no
     # rounding allowance, and attains its upper bound, so no bracket inverts.
@@ -1544,12 +1581,10 @@ def test_brackets_at_level_two_are_not_inverted():
     assert gaps == {case: 0.0 for case in cases}
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1(b): the character's image is a power of 65536 "
-    "letters, whose rounding reads 2 + 2.8e-12 against the upper bound 2",
-)
 def test_long_power_bracket_at_level_two_is_not_inverted():
+    # The witness is a character, and its image's long powers are two
+    # Python powers of unit scalars, not 65536 matrix products: the value
+    # reads 2.0 against the upper bound 2 (the matrix walk read 2 + 2.8e-12).
     config = OptimizerConfig(dims=(1,), restarts=1, max_steps=5)
     assert estimate_norm(parse_element("u^65536*v^-65536 + u"), 2.0, config).gap >= 0.0
 
