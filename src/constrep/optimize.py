@@ -38,8 +38,8 @@ A 1-dimensional start ascends on the torus of characters instead: the pair
 is two unit scalars (z_u, z_v) = (e^(i theta), e^(i phi)), a word with
 generator sums (p, q) acts as z_u^p z_v^q, and the value is |f| for
 f = sum c z_u^p z_v^q, the scalar rule
-(:func:`~constrep.representation._character_waves`) that ``evaluate`` and
-:func:`_objective` apply to every 1 x 1 pair. The direction is the gradient
+(:func:`~constrep.representation._character_waves`) that ``evaluate``
+applies to every 1 x 1 pair. The direction is the gradient
 Re(conj(f) i sum c (p, q) z_u^p z_v^q)/|f| of |f| in (theta, phi), a step
 multiplies each scalar by e^(i step g), and the retraction applies the
 deformation circle map to both scalars at the level ``constraint_value``
@@ -50,11 +50,11 @@ lengths. Its step grows 1.5x after an accepted proposal, up to
 ``_INITIAL_STEP``, and halves after a rejected one, so a start that sits
 within a step of a local maximum still climbs to it (a geometric decay
 stalls there once its steps overshoot the maximum). The loop and its stall
-and target rules are shared. Since the torus value at a pair is the
-objective's value there, bit for bit, a moved witness is the 1 x 1 pair of
-its last accepted scalars at the torus value, and a reported value is the
-recomputed norm of its witness, ``abs`` of the scalar rule's image, with
-no power table, matrix product or SVD.
+and target rules are shared. Since the torus value at a pair is the norm
+``evaluate`` gives it there, bit for bit, a moved witness is the 1 x 1
+pair of its last accepted scalars at the torus value, and a reported value
+is the recomputed norm of its witness, ``abs`` of the scalar rule's image,
+with no power table, matrix product or SVD.
 """
 
 from __future__ import annotations
@@ -345,8 +345,8 @@ def _radial_coefficients(element):
 
 
 def _x_polynomial(coeffs):
-    """q with sum_n c_n chi_n = q(x), highest power first, as a complex
-    array, the form ``np.polyval`` reads.
+    """q with sum_n c_n chi_n = q(x), as a list of complex coefficients,
+    highest power first.
 
     The sphere sums satisfy chi_n = P_n(x) with P_0 = 1, P_1 = s,
     P_2 = s^2 - 4 and P_(n+1) = s P_n - 3 P_(n-1), from x chi_1 = chi_2 + 4
@@ -364,7 +364,7 @@ def _x_polynomial(coeffs):
     for c, sphere in zip(coeffs, spheres):
         for i, a in enumerate(sphere):
             q[i] += c * a
-    return np.array(q[::-1])
+    return q[::-1]
 
 
 @functools.lru_cache(maxsize=1)
@@ -377,7 +377,7 @@ def _radial_polynomial(coeffs):
     reads off its 1 x 1 companion matrix; only a q of degree 2 or more
     calls ``np.roots``.
     """
-    q = _x_polynomial(coeffs).tolist()
+    q = _x_polynomial(coeffs)
     # On the real line |q|^2 = q * conj(q), a polynomial with real
     # coefficients sum_(i + j = k) Re(q_i conj(q_j)).
     square = [0.0] * (2 * len(q) - 1)
@@ -444,13 +444,10 @@ def _bound_and_peak(element, mu):
 def _objective(element, rep):
     """(sigma, left, right, tables): the top singular triple of pi(element)
     and the power tables it was evaluated with, which :func:`_subgradient`
-    reuses at the same pair.
-
-    At d = 1 no table is built (``tables`` is None): the character's image
-    is the scalar rule's [[f]] and sigma is |f|, the value the torus ascent
-    reads at the same pair.
+    reuses at the same pair. The ascent calls it for d >= 2 only; a
+    1-dimensional pair is scored by :func:`_torus_objective`.
     """
-    tables = None if rep.dim == 1 else power_tables(rep, element)
+    tables = power_tables(rep, element)
     sigma, left, right, _ = top_singular_triple(evaluate(rep, element, tables=tables))
     return sigma, left, right, tables
 
@@ -653,22 +650,21 @@ def _ascend(element, mu, start, config, target=np.inf):
     less than ``_STALL_TOLERANCE``, or the gradient vanished. ``config``
     gives the step cap.
 
-    The moves, the step rule included, come from the start's geometry. A
-    1-dimensional start steps on the torus (:func:`_torus_moves`), which
-    scores a pair by the scalar rule :func:`_objective` applies at d = 1,
-    so at every d the returned value is the norm of the returned witness:
-    the start itself, or the last accepted point (at d = 1, the 1 x 1 pair
-    of its two scalars).
+    The moves, the step rule included, come from the start's geometry, and
+    the start is scored by their own score. A 1-dimensional start steps on
+    the torus (:func:`_torus_moves`), which scores a pair by the scalar rule
+    ``evaluate`` applies at d = 1, so at every d the returned value is the
+    norm of the returned witness: the start itself, or the last accepted
+    point (at d = 1, the 1 x 1 pair of its two scalars).
     """
-    start_value, left, right, tables = _objective(element, start)
-    if start_value >= target:
-        return start_value, start, 0, True
     if start.dim == 1:
         score, direction_at, propose, next_step = _torus_moves(element, mu)
         value, point = score((complex(start.u[0, 0]), complex(start.v[0, 0])))
     else:
         score, direction_at, propose, next_step = _matrix_moves(element, mu)
-        value, point = start_value, (start, left, right, tables)
+        value, point = score(start)
+    if value >= target:
+        return value, start, 0, True
     origin = point
     history = [value]
     step = _INITIAL_STEP

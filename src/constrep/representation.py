@@ -185,6 +185,8 @@ def _character_terms(element):
 
     A character u -> z_u, v -> z_v sends a word to z_u^p z_v^q, so the
     scalar rule and the torus ascent read an element through these triples.
+    Term order is the order ``evaluate`` sums in at every d, so two equal
+    elements built in different orders may round, and ascend, differently.
     """
     return tuple((*word.generator_sums(), coeff) for word, coeff in element.terms.items())
 
@@ -194,10 +196,10 @@ def _character_waves(terms, z_u, z_v):
 
     These are the terms' images under the character u -> z_u, v -> z_v,
     and their sum in term order is the element's image f: :func:`evaluate`
-    at d = 1 returns [[f]], and the optimizer's objective and torus ascent
-    read the same sum. A negative power is taken of the conjugate, the
-    inverse letter's image, so a word and its inverse have exactly conjugate
-    images (u + u^-1 is real to the last bit, as U + U* is). Powers are
+    at d = 1 returns [[f]], and the optimizer's torus ascent reads the same
+    sum. A negative power is taken of the conjugate, the inverse letter's
+    image, so a word and its inverse have exactly conjugate images
+    (u + u^-1 is real to the last bit, as U + U* is). Powers are
     Python's ``**``, two per term whatever the word's length.
     """
     bar_u, bar_v = z_u.conjugate(), z_v.conjugate()

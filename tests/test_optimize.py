@@ -124,9 +124,7 @@ def _exponential(h, scale):
 
 
 def _check_gradient_by_finite_differences(element, rep, eps=1e-6):
-    # At d = 1 the objective builds no tables; the matrix gradient needs them.
-    _, left, right, _ = optimize._objective(element, rep)
-    tables = power_tables(rep, element)
+    _, left, right, tables = optimize._objective(element, rep)
     g_u, g_v = optimize._subgradient(element, rep, left, right, tables)
     assert np.linalg.norm(g_u - g_u.conj().T) < 1e-12
     assert np.linalg.norm(g_v - g_v.conj().T) < 1e-12
@@ -199,8 +197,7 @@ def _reference_ascent(element, mu, start, config):
     returns _ascend's 4-tuple and the number of rejected proposals."""
     next_step = _torus_step if start.dim == 1 else _geometric_step
     current = start
-    value, left, right, _ = optimize._objective(element, current)
-    tables = power_tables(current, element)
+    value, left, right, tables = optimize._objective(element, current)
     history = [value]
     step = optimize._INITIAL_STEP
     steps, converged, rejected = 0, False, 0
@@ -215,11 +212,11 @@ def _reference_ascent(element, mu, start, config):
             _exponential(g_v / scale, step) @ current.v,
         )
         proposal = retract_to(proposal, mu)
-        new_value, new_left, new_right, _ = optimize._objective(element, proposal)
+        new_value, new_left, new_right, new_tables = optimize._objective(element, proposal)
         accepted = new_value > value
         if accepted:
             current, value, left, right = proposal, new_value, new_left, new_right
-            tables = power_tables(current, element)
+            tables = new_tables
         else:
             rejected += 1
         steps = k
@@ -363,11 +360,8 @@ def test_torus_ascent_matches_the_matrix_ascent(monkeypatch):
         assert decisions.count(False) == rejected
         score, direction, propose, _ = optimize._matrix_moves(element, mu)
         for point, step, (z_u, z_v) in proposals:
-            pair = _scalar_pair(point[0], point[1])
-            value, matrix_point = score(pair)
+            value, matrix_point = score(_scalar_pair(point[0], point[1]))
             assert abs(abs(point[2]) - value) <= 1e-12 * max(1.0, value)
-            # At d = 1 the objective builds no tables; the matrix gradient needs them.
-            matrix_point = (*matrix_point[:3], power_tables(pair, element))
             pair = propose(matrix_point, direction(matrix_point), step)
             assert abs(pair.u[0, 0] - z_u) <= 1e-12
             assert abs(pair.v[0, 0] - z_v) <= 1e-12
@@ -461,8 +455,7 @@ def test_torus_gradient_is_the_subgradient_of_the_scalar_pair():
         terms = representation._character_terms(element)
         for seed in range(10):
             rep = random_constrained(1, 4.0, seed=(seed, 1))
-            _, left, right, _ = optimize._objective(element, rep)
-            tables = power_tables(rep, element)
+            _, left, right, tables = optimize._objective(element, rep)
             g_u, g_v = optimize._subgradient(element, rep, left, right, tables)
             want = np.array([g_u[0, 0].real, g_v[0, 0].real])
             _, point = optimize._torus_objective(terms, complex(rep.u[0, 0]), complex(rep.v[0, 0]))
@@ -780,9 +773,9 @@ def test_evaluate_equals_the_identity_first_products():
     filled by doubling (W^3 = W (W W), not (W W) W), so its products are
     grouped differently and agree only to rounding: within
     8 * letters * eps * sum |coeff| for unitary images. At d = 1 the image
-    is the scalar rule's, in Python complex arithmetic, so it meets the
-    loop, whose complex products numpy computes with fused multiply-adds,
-    within that bound for every word.
+    is the scalar rule's, which regroups a word's letters into z_u^p z_v^q,
+    so only elements of one-letter words, x and x/2 - 1, still match the
+    loop exactly there; every other word meets it within that bound.
     """
 
     def check_rounding(rep, e):
@@ -791,16 +784,17 @@ def test_evaluate_equals_the_identity_first_products():
         assert error <= 8 * letters * np.finfo(float).eps * e.coefficient_l1()
 
     def check_exact(rep, e):
-        if rep.dim == 1:
-            check_rounding(rep, e)
-        else:
-            assert np.array_equal(evaluate(rep, e), _identity_first_evaluate(rep, e))
+        assert np.array_equal(evaluate(rep, e), _identity_first_evaluate(rep, e))
+
+    def check_letters(rep, e):
+        (check_rounding if rep.dim == 1 else check_exact)(rep, e)
 
     x = averaging_element()
     for dim in (1, 2, 4, 8):
         rep = random_constrained(dim, 4.0, seed=(99, dim))
-        for e in (x, x * 0.5 - 1.0, parse_element("u*v^-1*u - 2i*v*u")):
+        for e in (x, x * 0.5 - 1.0):
             check_exact(rep, e)
+        check_letters(rep, parse_element("u*v^-1*u - 2i*v*u"))
 
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -809,7 +803,7 @@ def test_evaluate_equals_the_identity_first_products():
         for dim in (1, 2, 4, 8):
             rep = random_constrained(dim, 4.0, seed=(seed, dim))
             for e in (single, single + 1.5):  # with and without the empty word
-                check_exact(rep, e)
+                check_letters(rep, e)
             check_rounding(rep, element)
             check_rounding(rep, element + 1.5)
     # Powers above 64 come from the table's last row and a remainder row.
@@ -892,8 +886,7 @@ def test_subgradient_skipping_empty_letter_kinds_is_bitwise_the_reference():
     for index, element in enumerate(elements):
         reps = [random_constrained(dim, 4.0, seed=(index, dim)) for dim in (1, 2, 4)]
         for rep in reps + real_pairs:
-            _, left, right, _ = optimize._objective(element, rep)
-            tables = power_tables(rep, element)
+            _, left, right, tables = optimize._objective(element, rep)
             got = optimize._subgradient(element, rep, left, right, tables)
             want = _reference_subgradient(element, rep, left, right, tables)
             for g, w in zip(got, want):
@@ -1201,7 +1194,7 @@ def _uncached_upper_bound(element, mu):
     bound = float(element.coefficient_l1())
     coeffs = optimize._radial_coefficients(element)
     if coeffs is not None:
-        q = optimize._x_polynomial(coeffs)
+        q = np.array(optimize._x_polynomial(coeffs))
         slope = np.polyder(np.polymul(q, q.conj()).real)
         points = np.concatenate(([-mu, mu], np.clip(np.roots(slope).real, -mu, mu)))
         bound = min(bound, float(np.max(np.abs(np.polyval(q, points)))))
@@ -1471,13 +1464,16 @@ def _counting(monkeypatch, module, name, calls):
 def test_averaging_curve_computes_one_objective_per_level(monkeypatch):
     # Every carried witness is feasible and stored with its value, so each
     # level scores only its radial start and checks only its own witness.
+    # The start is a character, scored by the torus objective alone.
     calls = []
     _counting(monkeypatch, optimize, "_objective", calls)
+    _counting(monkeypatch, optimize, "_torus_objective", calls)
     _counting(monkeypatch, optimize, "constraint_value", calls)
     _counting(monkeypatch, representation, "constraint_value", calls)
     grid = np.arange(0.0, 4.0 + 1e-12, 0.25)
     curve = norm_curve(averaging_element(), grid, OptimizerConfig())
-    assert calls.count("_objective") == len(grid) == 17
+    assert calls.count("_torus_objective") == len(grid) == 17
+    assert calls.count("_objective") == 0
     assert calls.count("constraint_value") == len(grid)
     assert [e.restart_index for e in curve.estimates] == [0] * len(grid)
 
