@@ -24,8 +24,8 @@ _LETTER_RANK = {("u", True): 0, ("u", False): 1, ("v", True): 2, ("v", False): 3
 # per 64 letters.
 MAX_EXPONENT = 2**16
 # Largest element the parser and the optimizer accept, in terms and in
-# syllables over all words: the 1-D oracle scan holds about 35 KB per term
-# (71 MB for 2048), and an objective at size d takes one d x d product per
+# syllables over all words: the 1-D oracle scan holds about 23 KB per term
+# (47 MB for 2048), and an objective at size d takes one d x d product per
 # syllable (about 0.8 s for 4096 at d = 128 on one core of a 2-core x86 box).
 MAX_TERMS = 2048
 MAX_SYLLABLES = 4096
@@ -159,7 +159,10 @@ class GroupRingElement:
     """A finite complex combination of reduced words.
 
     Terms live in a plain dict ``{Word: complex}``; coefficients that are
-    exactly zero are dropped so equality is structural.
+    exactly zero are dropped so equality is structural. The dict is kept in
+    canonical order (:meth:`Word.sort_key`: word length, then letter order),
+    fixed here for every element however it was built, so each reader sums
+    the terms of equal elements alike.
     """
 
     __slots__ = ("terms",)
@@ -175,7 +178,8 @@ class GroupRingElement:
                     clean[word] = clean.get(word, 0j) + c
                     if clean[word] == 0:
                         del clean[word]
-        object.__setattr__(self, "terms", clean)
+        ordered = sorted(clean.items(), key=lambda item: item[0].sort_key())
+        object.__setattr__(self, "terms", dict(ordered))
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupRingElement is immutable")
@@ -194,10 +198,6 @@ class GroupRingElement:
     @property
     def is_zero(self):
         return not self.terms
-
-    def sorted_terms(self):
-        """Terms in canonical order (word length, then letter order)."""
-        return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
 
     def coefficient_l1(self):
         try:
@@ -371,8 +371,7 @@ class _Parser:
         if self.peek() in ("+", "-"):
             sign = -1 if self.next()[0] == "-" else 1
         # The terms are merged into one dict as repeated ``+`` would merge
-        # them: a word keeps its first place, and a sum that is exactly zero
-        # is dropped, so a later term of that word goes to the end.
+        # them: a sum that is exactly zero is dropped.
         terms = dict((self.term() * sign).terms)
         while self.peek() is not None:
             kind = self.peek()
@@ -558,11 +557,12 @@ def _format_term(word, coeff):
 
 
 def format_element(element):
-    """Canonical text for an element; terms sorted by word length then letters."""
+    """Canonical text for an element, its terms in their canonical order
+    (word length, then letters)."""
     if element.is_zero:
         return "0"
     parts = []
-    for word, coeff in element.sorted_terms():
+    for word, coeff in element.terms.items():
         sign, body = _format_term(word, coeff)
         if not parts:
             parts.append(body if sign == "+" else "-" + body)

@@ -270,9 +270,7 @@ def _oracle_scan(element, mu):
     """
     if element.is_zero:
         return 0.0, 0.0, 0.0
-    # Canonical term order, so equal elements scan alike.
-    terms = ((*word.generator_sums(), coeff) for word, coeff in element.sorted_terms())
-    p, q, coeffs = (np.array(column) for column in zip(*terms))
+    p, q, coeffs = (np.array(column) for column in zip(*_character_terms(element)))
     theta, cos = _oracle_axes()
 
     # The curve phi = pi - theta is feasible at every constraint level up to
@@ -286,12 +284,12 @@ def _oracle_scan(element, mu):
     best = (float(curve[i]), float(theta[i]), float(phi[i]))
 
     # Each row of the product depends only on its own row of ``left``, so
-    # the blocks equal the full product.
-    left = np.exp(1j * np.outer(theta, p)) * coeffs
+    # the blocks equal the full product, and ``left`` is built per block.
     right = np.exp(1j * np.outer(q, theta))
     for r in range(0, ORACLE_GRID, _ORACLE_BLOCK):
         rows = slice(r, r + _ORACLE_BLOCK)
-        magnitude = np.abs(left[rows] @ right)
+        left = np.exp(1j * np.outer(theta[rows], p)) * coeffs
+        magnitude = np.abs(left @ right)
         if magnitude.max() <= best[0]:
             continue
         magnitude[np.abs(cos[rows, None] + cos) > mu] = -1.0

@@ -150,12 +150,13 @@ def _syllable_image(images, tables, gen, power):
 def evaluate(rep, element, *, tables=None):
     """Matrix image of a group-ring element under the representation.
 
-    One matrix product per syllable, with powers read from
-    :func:`power_tables` (built here unless ``tables`` is given). A word
-    whose syllables all have power +-1 is multiplied out letter by letter,
-    left to right, from its first letter's image. A 1 x 1 pair, a character,
-    is evaluated by the scalar rule :func:`_character_waves` instead, with
-    no tables and no matrix product; ``tables`` is not read there.
+    The terms are summed in their canonical order, one matrix product per
+    syllable, with powers read from :func:`power_tables` (built here unless
+    ``tables`` is given). A word whose syllables all have power +-1 is
+    multiplied out letter by letter, left to right, from its first letter's
+    image. A 1 x 1 pair, a character, is evaluated by the scalar rule
+    :func:`_character_waves` instead, with no tables and no matrix product;
+    ``tables`` is not read there.
     """
     if not isinstance(element, GroupRingElement):
         raise TypeError("expected a GroupRingElement")
@@ -181,12 +182,12 @@ def evaluate(rep, element, *, tables=None):
 
 
 def _character_terms(element):
-    """(p, q, coeff) per term in term order, (p, q) the word's generator sums.
+    """(p, q, coeff) per term in canonical term order, (p, q) the word's
+    generator sums.
 
     A character u -> z_u, v -> z_v sends a word to z_u^p z_v^q, so the
-    scalar rule and the torus ascent read an element through these triples.
-    Term order is the order ``evaluate`` sums in at every d, so two equal
-    elements built in different orders may round, and ascend, differently.
+    scalar rule, the torus ascent and the oracle scan read an element
+    through these triples.
     """
     return tuple((*word.generator_sums(), coeff) for word, coeff in element.terms.items())
 
@@ -195,11 +196,11 @@ def _character_waves(terms, z_u, z_v):
     """The scalar rule: c (z_u^p z_v^q) for each (p, q, c) of ``terms``.
 
     These are the terms' images under the character u -> z_u, v -> z_v,
-    and their sum in term order is the element's image f: :func:`evaluate`
-    at d = 1 returns [[f]], and the optimizer's torus ascent reads the same
-    sum. A negative power is taken of the conjugate, the inverse letter's
-    image, so a word and its inverse have exactly conjugate images
-    (u + u^-1 is real to the last bit, as U + U* is). Powers are
+    and their sum in canonical term order is the element's image f:
+    :func:`evaluate` at d = 1 returns [[f]], and the optimizer's torus ascent
+    reads the same sum. A negative power is taken of the conjugate, the
+    inverse letter's image, so a word and its inverse have exactly conjugate
+    images (u + u^-1 is real to the last bit, as U + U* is). Powers are
     Python's ``**``, two per term whatever the word's length.
     """
     bar_u, bar_v = z_u.conjugate(), z_v.conjugate()

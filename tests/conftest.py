@@ -6,11 +6,18 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 from constrep.linalg import unitary_eig
 from constrep.representation import Representation
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# No per-example deadline: one example may build a long word or run an ascent,
+# and its time depends on the machine, not on the code under test. Loaded
+# here, before the test modules build their @settings from the default.
+settings.register_profile("constrep", deadline=None)
+settings.load_profile("constrep")
 
 
 def loop_calculus(w, fn):

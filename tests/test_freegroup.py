@@ -187,7 +187,7 @@ def test_parse_merges_terms_as_repeated_addition():
         assert [(w, repr(c)) for w, c in got.terms.items()] == [
             (w, repr(c)) for w, c in expected.terms.items()
         ], text
-    assert list(parse_element("u + v - u + u").terms) == [Word([("v", 1)]), Word([("u", 1)])]
+    assert list(parse_element("u + v - u + u").terms) == [Word([("u", 1)]), Word([("v", 1)])]
     with pytest.raises(ParseError) as info:
         parse_element("u + 1e308*v - u + 1e308*v")
     assert info.value.position == 18
@@ -242,7 +242,7 @@ def test_words_and_elements_copy_and_pickle(clone):
     b = clone(a)
     assert b == a
     assert list(b.terms.items()) == list(a.terms.items())
-    assert [len(word) for word in b.terms] == [len(word) for word in a.terms] == [65537, 1]
+    assert [len(word) for word in b.terms] == [len(word) for word in a.terms] == [1, 65537]
     word = Word([("u", 2), ("v", -1)])
     assert clone(word) == word and len(clone(word)) == 3
     assert clone(Word.identity()).is_identity
@@ -296,35 +296,31 @@ def _terms_close(a, b, tol=1e-9):
     )
 
 
-@settings(deadline=None)
 @given(_elements)
 def test_print_parse_round_trip(a):
     assert parse_element(format_element(a)) == a
 
 
-@settings(deadline=None)
 @given(_elements, _elements, _elements)
 def test_multiplication_associates(a, b, c):
     assert _terms_close((a * b) * c, a * (b * c))
 
 
-@settings(deadline=None)
 @given(_elements, _elements)
 def test_adjoint_is_antimultiplicative(a, b):
     assert _terms_close((a * b).adjoint(), b.adjoint() * a.adjoint(), tol=1e-12)
 
 
-@settings(deadline=None)
 @given(_elements)
 def test_adjoint_is_involutive(a):
     assert a.adjoint().adjoint() == a
     assert a.adjoint().coefficient_l1() == a.coefficient_l1()
 
 
-@settings(deadline=None)
 @given(_elements, _elements)
 def test_addition_commutes(a, b):
     assert a + b == b + a
+    assert list((a + b).terms.items()) == list((b + a).terms.items())
     assert a - a == GroupRingElement({})
 
 
@@ -366,7 +362,7 @@ _run_words = _runs.map(Word)
 
 def test_word_syllables_examples():
     assert Word.identity().syllables == ()
-    assert parse_element("u^3*v^-2*u").sorted_terms()[0][0].syllables == (
+    assert next(iter(parse_element("u^3*v^-2*u").terms)).syllables == (
         ("u", 3),
         ("v", -2),
         ("u", 1),
@@ -379,7 +375,6 @@ def test_word_syllables_examples():
     assert Word([("u", 2), ("v", 3), ("v", -3), ("u", -2), ("v", 1)]).syllables == (("v", 1),)
 
 
-@settings(deadline=None)
 @given(_runs)
 def test_syllables_expand_to_the_letters(runs):
     w = Word(runs)
@@ -391,14 +386,12 @@ def test_syllables_expand_to_the_letters(runs):
     )
 
 
-@settings(deadline=None)
 @given(_run_words)
 def test_inverse_reverses_and_negates_syllables(w):
     assert w.inverse().syllables == tuple((gen, -p) for gen, p in reversed(w.syllables))
     assert w.inverse().letters == tuple((gen, -e) for gen, e in reversed(w.letters))
 
 
-@settings(deadline=None)
 @given(_run_words, _run_words)
 def test_product_merges_syllables_at_the_boundary(a, b):
     assert (a * b).letters == _reference_reduce(a.letters + b.letters)
@@ -412,7 +405,7 @@ _short_run_words = st.lists(
 ).map(Word)
 
 
-@settings(deadline=None, max_examples=400)
+@settings(max_examples=400)
 @given(st.lists(_short_run_words, min_size=2, max_size=16))
 def test_sort_key_orders_as_the_letters(words):
     for a in words:

@@ -13,6 +13,7 @@ from conftest import character, run_python
 
 from constrep import linalg, optimize, representation
 from constrep.freegroup import (
+    MAX_TERMS,
     GroupRingElement,
     Word,
     averaging_element,
@@ -638,6 +639,32 @@ def test_estimate_is_deterministic():
         assert first.witness.v.tobytes() == second.witness.v.tobytes()
 
 
+def _estimate_bytes(estimate):
+    """Every field of an estimate as bytes, so equal means bit for bit."""
+    floats = np.array([estimate.value, estimate.upper, estimate.constraint]).tobytes()
+    witness = estimate.witness.u.tobytes() + estimate.witness.v.tobytes()
+    return floats, witness, estimate.restart_index, estimate.steps, estimate.converged
+
+
+def test_term_order_does_not_change_an_estimate():
+    # An element built by adding its terms in any order is one element, so
+    # every order gives the same estimate bit for bit, at every start size.
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        element = _syllable_element(rng)
+        mu = float(rng.choice((0.5, 1.0, 2.0, 3.5)))
+        orders = []
+        for order in itertools.permutations(element.terms.items()):
+            permuted = GroupRingElement({})
+            for word, coeff in order:
+                permuted = permuted + GroupRingElement.from_word(word, coeff)
+            orders.append(permuted)
+        for d in (1, 2, 4):
+            config = OptimizerConfig(dims=(d,), restarts=1, max_steps=20, seed=0)
+            seen = {_estimate_bytes(estimate_norm(a, mu, config)) for a in orders}
+            assert len(seen) == 1, (str(element), mu, d)
+
+
 def test_estimate_checks_its_witness(monkeypatch):
     # Ascent steps build pairs without validation; a witness that left the
     # unitary group is caught once, when the estimate returns.
@@ -912,7 +939,7 @@ def test_one_subgradient_of_a_long_word_is_small():
 
 def _reference_oracle(element, mu):
     """The oracle as a loop over terms, one n x n broadcast per term."""
-    terms = element.sorted_terms()
+    terms = element.terms.items()
     grid_n = 720
     theta = 2.0 * np.pi * np.arange(grid_n) / grid_n
     phi = np.pi - theta
@@ -946,7 +973,7 @@ def test_oracle_matches_per_term_reference():
 
 def _masked_grid(element, mu):
     """|pi(a)| as one 720 x 720 grid in natural angle order, -1 on infeasible cells."""
-    terms = element.sorted_terms()
+    terms = list(element.terms.items())
     coeffs = np.array([coeff for _, coeff in terms])
     p, q = np.array([word.generator_sums() for word, _ in terms]).T
     theta = 2.0 * np.pi * np.arange(720) / 720
@@ -959,7 +986,7 @@ def _masked_grid(element, mu):
 
 def _two_product_oracle(element, mu):
     """The scan as one masked grid per call: its first argmax, if above the antidiagonal."""
-    terms = element.sorted_terms()
+    terms = list(element.terms.items())
     if not terms:
         return 0.0, 0.0, 0.0
     coeffs = np.array([coeff for _, coeff in terms])
@@ -1074,9 +1101,26 @@ def test_new_element_scan_builds_the_grid_in_row_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The two factors and one block's products, magnitudes and mask: about
-    # 1.16 MiB. A whole 720 x 720 magnitude grid alone would be 4 MB.
+    # The right factor and one block's left factor, products, magnitudes and
+    # mask: about 1.11 MiB. A whole 720 x 720 magnitude grid alone would be 4 MB.
     assert peak < 2 << 20, peak
+
+
+def test_scan_at_the_term_cap_builds_the_left_factor_per_block():
+    # 2048 words u^a*v^b: the antidiagonal's complex 720 x terms arrays
+    # trace about 47 MB; a whole 720 x terms left factor beside the right
+    # one traced 71 MB.
+    rng = np.random.default_rng(3)
+    words = [Word([("u", a), ("v", b)]) for a in range(1, 33) for b in range(-32, 33) if b]
+    element = GroupRingElement({w: complex(*rng.uniform(-1.0, 1.0, 2)) for w in words[:MAX_TERMS]})
+    assert len(element.terms) == MAX_TERMS
+    tracemalloc.start()
+    try:
+        optimize._oracle_scan(element, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 56e6, peak
 
 
 def test_one_dim_oracle_checks_its_arguments():

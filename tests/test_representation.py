@@ -88,7 +88,7 @@ def _characters_and_elements(draw):
     return character(draw(angles), draw(angles)), GroupRingElement(terms)
 
 
-@settings(deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(_characters_and_elements())
 def test_character_image_is_the_scalar_rule(case):
     # evaluate at d = 1 is the scalar rule exactly, and the rule meets the
@@ -143,7 +143,7 @@ _CIRCLE_POINTS = st.one_of(
 )
 
 
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)), _CIRCLE_POINTS)
 def test_deformation_function_properties(t, z):
     g = deformation_function(t)(z)
