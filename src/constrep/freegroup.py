@@ -11,6 +11,7 @@ small text grammar round-trips through :func:`parse_element` /
 from __future__ import annotations
 
 import cmath
+import math
 import re
 
 GENERATORS = ("u", "v")
@@ -24,8 +25,8 @@ _LETTER_RANK = {("u", True): 0, ("u", False): 1, ("v", True): 2, ("v", False): 3
 # per 64 letters.
 MAX_EXPONENT = 2**16
 # Largest element the parser and the optimizer accept, in terms and in
-# syllables over all words: the 1-D oracle scan holds about 23 KB per term
-# (47 MB for 2048), and an objective at size d takes one d x d product per
+# syllables over all words: the 1-D oracle scan holds about 17 KB per term
+# (36 MB for 2048), and an objective at size d takes one d x d product per
 # syllable (about 0.8 s for 4096 at d = 128 on one core of a 2-core x86 box).
 MAX_TERMS = 2048
 MAX_SYLLABLES = 4096
@@ -200,9 +201,11 @@ class GroupRingElement:
         return not self.terms
 
     def coefficient_l1(self):
+        """Sum of the coefficients' moduli, correctly rounded by ``math.fsum``
+        so that no term order, such as the adjoint's, changes it."""
         try:
-            return sum(abs(c) for c in self.terms.values())
-        except OverflowError:  # a modulus past the float range
+            return math.fsum(abs(c) for c in self.terms.values())
+        except OverflowError:  # a modulus or the sum past the float range
             return cmath.inf
 
     def adjoint(self):

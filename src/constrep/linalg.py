@@ -31,7 +31,7 @@ import numpy as np
 UNITARY_TOL = 1e-8
 CLUSTER_TOL = 1e-8
 # Largest Haar draw, so the largest start: at d = 128 a start on a long-word
-# element peaks near 0.2 GB, and d = 256 would take 4x that (README, Limits).
+# element peaks near 0.1 GB, and d = 256 would take 4x that (README, Limits).
 MAX_DIM = 128
 
 

@@ -21,14 +21,16 @@ Ascent direction: with (sigma, xi, eta) the top singular triple of pi(a),
 the derivative of sigma along U -> exp(i s H) U is <H, G_U> for a Hermitian
 G_U (and likewise for V). Each letter of a word with coefficient c adds the
 rank-one piece c * b a^*, where a^* = xi^* (letters before it) and
-b = (letters after it) eta. Words are walked by syllables (runs u^k, v^k):
-pi(a) costs one matrix product per syllable and the gradient a few batched
-products per syllable, with powers read from tables (I, W, ..., W^t),
-t <= 64, that the objective builds once per pair; a syllable longer than t
-takes one such step per t letters, so neither time nor memory grows letter
-by letter. Steps multiply on the left by
-exp(i * step * G/||G||) and are followed by the exact retraction, so every
-iterate stays feasible. Only improving proposals are accepted, and at
+b = (letters after it) eta. The images are unitary, so an inverse letter's
+image, powers and pieces are adjoints of its generator's: each generator
+has one power table and one sum of pieces. Words are walked by syllables
+(runs u^k, v^k): pi(a) costs one matrix product per syllable and the
+gradient a few batched products per syllable, with powers read from one
+table (I, W, ..., W^t), t <= 64, per generator that the objective builds
+once per pair; a syllable longer than t takes one such step per t letters,
+so neither time nor memory grows letter by letter. Steps multiply on the
+left by exp(i * step * G/||G||) and are followed by the exact retraction,
+so every iterate stays feasible. Only improving proposals are accepted, and at
 d >= 2 the step size decays geometrically, by ``_STEP_DECAY`` after every
 proposal. The direction depends only on the current pair, so it and the
 eigendecompositions of G/||G|| are computed once per accepted point and
@@ -73,11 +75,11 @@ from .representation import (
     Representation,
     _character_terms,
     _character_waves,
+    _syllable_image,
     character_level,
     check_mu,
     constraint_value,
     evaluate,
-    letter_images,
     power_tables,
     random_constrained,
     retract_to,
@@ -278,16 +280,21 @@ def _oracle_scan(element, mu):
     # of 720 points, at most 6.7e-16), so it is always scanned; near mu = 0
     # it is the only reliable source of feasible points, since the square
     # grid may contain almost no pairs whose cosines cancel to the last bit.
+    # Each row of a product depends only on its own row of the left factor,
+    # so the blocks equal the full product, and the left factors of the
+    # antidiagonal and of the square grid are built per block.
+    blocks = [slice(r, r + _ORACLE_BLOCK) for r in range(0, ORACLE_GRID, _ORACLE_BLOCK)]
     phi = np.pi - theta
-    curve = np.abs(np.exp(1j * (np.outer(theta, p) + np.outer(phi, q))) @ coeffs)
+    curve = np.concatenate([
+        np.abs(np.exp(1j * (np.outer(theta[rows], p) + np.outer(phi[rows], q))) @ coeffs)
+        for rows in blocks
+    ])
     i = int(np.argmax(curve))
     best = (float(curve[i]), float(theta[i]), float(phi[i]))
 
-    # Each row of the product depends only on its own row of ``left``, so
-    # the blocks equal the full product, and ``left`` is built per block.
-    right = np.exp(1j * np.outer(q, theta))
-    for r in range(0, ORACLE_GRID, _ORACLE_BLOCK):
-        rows = slice(r, r + _ORACLE_BLOCK)
+    right = 1j * np.outer(q, theta)
+    np.exp(right, out=right)
+    for rows in blocks:
         left = np.exp(1j * np.outer(theta[rows], p)) * coeffs
         magnitude = np.abs(left @ right)
         if magnitude.max() <= best[0]:
@@ -295,7 +302,7 @@ def _oracle_scan(element, mu):
         magnitude[np.abs(cos[rows, None] + cos) > mu] = -1.0
         i, j = divmod(int(np.argmax(magnitude)), ORACLE_GRID)
         if magnitude[i, j] > best[0]:
-            best = (float(magnitude[i, j]), float(theta[r + i]), float(theta[j]))
+            best = (float(magnitude[i, j]), float(theta[rows][i]), float(theta[j]))
     return best
 
 
@@ -441,9 +448,9 @@ def _bound_and_peak(element, mu):
 
 def _objective(element, rep):
     """(sigma, left, right, tables): the top singular triple of pi(element)
-    and the power tables it was evaluated with, which :func:`_subgradient`
-    reuses at the same pair. The ascent calls it for d >= 2 only; a
-    1-dimensional pair is scored by :func:`_torus_objective`.
+    and the power tables it was evaluated with, one per generator, which
+    :func:`_subgradient` reuses at the same pair. The ascent calls it for
+    d >= 2 only; a 1-dimensional pair is scored by :func:`_torus_objective`.
     """
     tables = power_tables(rep, element)
     sigma, left, right, _ = top_singular_triple(evaluate(rep, element, tables=tables))
@@ -456,63 +463,43 @@ def _subgradient(element, rep, left, right, tables):
     Letter i of a word with coefficient c gives the rank-one piece
     P = c * b_i a_i^*, with a_i^* = left^* (letters before i) and
     b_i = (letters after i) right; a letter u adds U P to C_u and u^-1
-    subtracts P U* (likewise for v), and G = (i/2)(C - C*).
+    subtracts P U* (likewise for v), and G = (i/2)(C - C*). As U is
+    unitary, that is G = (i/2)(U S - (U S)*) for the one sum
+    S = sum P(u) + sum P(u^-1)*.
 
-    A syllable W^k with |k| >= 2 is walked in chunks of n <= t letters,
-    with T = (I, W, ..., W^t) its letter's table in ``tables``. With a^* the
-    row before a chunk and b the column after it, the chunk's rows a^* W^j
-    (j < n) are one batched product with T[:n], and its columns W^j b
-    (j <= n) one with T[n::-1]; the last column starts the chunk before.
-    Each chunk's pieces are summed as one product, and single letters'
-    pieces as one product per letter kind at the end.
+    A syllable W^(+-k) is walked in chunks of n <= t letters, a single letter
+    being a chunk of one, with T = (I, W, ..., W^t) its generator's table in
+    ``tables``. With a^* the row before a chunk of W^n and b the column
+    after it, the chunk's rows a^* W^j (j < n) are one batched product with
+    T[:n], and its columns W^j b (j <= n) one with T[n::-1]; the last column
+    starts the chunk before. A chunk of W^-n adds the adjoints of its pieces,
+    which are a forward chunk's with row b^* and column a. Each chunk's
+    pieces are summed as one product.
     """
-    images = letter_images(rep)
-    pieces = {letter: ([], []) for letter in images}
-    chunk_sums = dict.fromkeys(images)
+    sums = {gen: np.zeros((rep.dim, rep.dim), dtype=complex) for gen in "uv"}
     for word, coeff in element.terms.items():
-        # (letter, table, n): a single letter (table None) or a chunk of n.
+        # (gen, n, sign): a chunk of n letters of gen^sign.
         steps = []
         for gen, power in word.syllables:
-            letter, k = (gen, 1 if power > 0 else -1), abs(power)
-            if k == 1:
-                steps.append((letter, None, 1))
-                continue
-            table = tables[letter]
-            t = len(table) - 1
-            steps.extend([(letter, table, t)] * (k // t))
+            k, t, sign = abs(power), len(tables[gen]) - 1, 1 if power > 0 else -1
+            steps.extend([(gen, t, sign)] * (k // t))
             if k % t:
-                steps.append((letter, table, k % t))
+                steps.append((gen, k % t, sign))
         rows = [coeff * left.conj()]
-        for letter, table, n in steps[:-1]:
-            rows.append(rows[-1] @ (images[letter] if table is None else table[n]))
+        for gen, n, sign in steps[:-1]:
+            rows.append(rows[-1] @ _syllable_image(tables, gen, sign * n))
         col = right
-        for (letter, table, n), row in zip(reversed(steps), reversed(rows)):
-            if table is None:
-                cols, kind_rows = pieces[letter]
-                cols.append(col)
-                kind_rows.append(row)
-                col = images[letter] @ col
-                continue
-            chunk_cols = table[n::-1] @ col
-            piece = chunk_cols[1:].T @ (row @ table[:n])
-            total = chunk_sums[letter]
-            chunk_sums[letter] = piece if total is None else total + piece
-            col = chunk_cols[0]
-
-    def summed(letter):
-        # Sum of the letter kind's rank-one pieces. A kind with no single
-        # letter starts from a +0 matrix, which maps a chunk sum's -0.0 to +0.0.
-        cols, rows = pieces[letter]
-        total = np.array(cols).T @ np.array(rows) if cols else np.zeros((rep.dim, rep.dim))
-        if chunk_sums[letter] is not None:
-            total = total + chunk_sums[letter]
-        return total
-
-    def direction(gen):
-        c = images[(gen, 1)] @ summed((gen, 1)) - summed((gen, -1)) @ images[(gen, -1)]
-        return 0.5j * (c - c.conj().T)
-
-    return direction("u"), direction("v")
+        for (gen, n, sign), row in zip(reversed(steps), reversed(rows)):
+            table = tables[gen]
+            if sign > 0:
+                chunk_cols = table[n::-1] @ col
+                sums[gen] += chunk_cols[1:].T @ (row @ table[:n])
+                col = chunk_cols[0]
+            else:
+                sums[gen] += (table[:n] @ row.conj()).T @ (col.conj() @ table[n - 1::-1])
+                col = table[n].conj().T @ col
+    products = (tables[gen][1] @ sums[gen] for gen in "uv")
+    return tuple(0.5j * (c - c.conj().T) for c in products)
 
 
 def _matrix_moves(element, mu):

@@ -82,16 +82,6 @@ class Representation:
         return self.u.shape[0]
 
 
-def letter_images(rep):
-    """Matrix of each letter under the pair: U, U*, V, V* for u, u^-1, v, v^-1."""
-    return {
-        ("u", 1): rep.u,
-        ("u", -1): rep.u.conj().T,
-        ("v", 1): rep.v,
-        ("v", -1): rep.v.conj().T,
-    }
-
-
 # Largest power a table holds. Higher powers are products of its entries, so
 # a table is at most 65 d x d matrices however long the syllable, and the
 # gradient walks a longer syllable in chunks of this many letters.
@@ -113,38 +103,34 @@ def _power_table(w, t):
 
 
 def power_tables(rep, element):
-    """Each letter's power table for ``element``, keyed like :func:`letter_images`.
+    """One power table per generator for ``element``: {"u": T_u, "v": T_v}.
 
-    A generator whose largest |power| in the element's syllables is K >= 2
-    gets (I, W, ..., W^t) for its image W and the adjoints (I, W*, ...,
-    (W*)^t) for its inverse letter, t = min(K, 64); one that appears only to
-    the power +-1 gets None for both letters, and the images serve directly.
+    A generator with image W whose largest |power| in the element's
+    syllables is K gets T = (I, W, ..., W^t), t = min(K, 64), and t = 1
+    when it appears only to the power +-1 or not at all. The images are
+    unitary, so an inverse letter reads its generator's table by adjoint:
+    W^-k is (W^k)*.
     """
     top = {"u": 1, "v": 1}
     for word in element.terms:
         for gen, power in word.syllables:
             top[gen] = max(top[gen], abs(power))
-    tables = {}
-    for gen, k in top.items():
-        table = _power_table(getattr(rep, gen), min(k, _POWER_BLOCK)) if k > 1 else None
-        tables[(gen, 1)] = table
-        tables[(gen, -1)] = None if table is None else table.conj().transpose(0, 2, 1)
-    return tables
+    return {gen: _power_table(getattr(rep, gen), min(k, _POWER_BLOCK)) for gen, k in top.items()}
 
 
-def _syllable_image(images, tables, gen, power):
-    """W^power for the image W of ``gen``; a negative power is read from the
-    inverse letter's table."""
-    letter = (gen, 1 if power > 0 else -1)
-    table = tables[letter]
-    if table is None:
-        return images[letter]
+def _syllable_image(tables, gen, power):
+    """W^power for the image W of ``gen``, read from its table; W^-k is the
+    adjoint of W^k."""
+    table = tables[gen]
     k, t = abs(power), len(table) - 1
     if k <= t:
-        return table[k]
-    q, r = divmod(k, t)
-    mat = np.linalg.matrix_power(table[t], q)
-    return mat @ table[r] if r else mat
+        mat = table[k]
+    else:
+        q, r = divmod(k, t)
+        mat = np.linalg.matrix_power(table[t], q)
+        if r:
+            mat = mat @ table[r]
+    return mat if power > 0 else mat.conj().T
 
 
 def evaluate(rep, element, *, tables=None):
@@ -167,16 +153,15 @@ def evaluate(rep, element, *, tables=None):
         return np.array([[sum(waves)]], dtype=complex)
     if tables is None:
         tables = power_tables(rep, element)
-    images = letter_images(rep)
     out = np.zeros((d, d), dtype=complex)
     for word, coeff in element.terms.items():
         syllables = word.syllables
         if not syllables:
             mat = np.eye(d, dtype=complex)
         else:
-            mat = _syllable_image(images, tables, *syllables[0])
+            mat = _syllable_image(tables, *syllables[0])
             for syllable in syllables[1:]:
-                mat = mat @ _syllable_image(images, tables, *syllable)
+                mat = mat @ _syllable_image(tables, *syllable)
         out = out + coeff * mat
     return out
 

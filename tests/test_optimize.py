@@ -41,7 +41,6 @@ from constrep.representation import (
     constraint_value,
     deformation_function,
     evaluate,
-    letter_images,
     power_tables,
     random_constrained,
     retract_to,
@@ -768,7 +767,12 @@ def _syllable_element(rng, terms=None):
 
 def _identity_first_evaluate(rep, element):
     """evaluate with every word's product started from the identity matrix."""
-    images = letter_images(rep)
+    images = {
+        ("u", 1): rep.u,
+        ("u", -1): rep.u.conj().T,
+        ("v", 1): rep.v,
+        ("v", -1): rep.v.conj().T,
+    }
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
     for word, coeff in element.terms.items():
         mat = np.eye(rep.dim, dtype=complex)
@@ -839,72 +843,54 @@ def test_evaluate_equals_the_identity_first_products():
         check_rounding(rep, parse_element(text))
 
 
-def _reference_subgradient(element, rep, left, right, tables):
-    """_subgradient as it summed every letter kind, a kind with no single
-    letter included: reshaped empty lists and a (d, 0) @ (0, d) product."""
-    images = letter_images(rep)
-    pieces = {letter: ([], []) for letter in images}
-    chunk_sums = dict.fromkeys(images)
+def _definition_subgradient(element, rep, left, right):
+    """(G_u, G_v) summed letter by letter from the definition, with no power
+    table: letter i of a word with coefficient c gives P = c * b_i a_i^*, a
+    letter u adds U P to C_u and u^-1 subtracts P U*, and G = (i/2)(C - C*)."""
+    images = {
+        ("u", 1): rep.u,
+        ("u", -1): rep.u.conj().T,
+        ("v", 1): rep.v,
+        ("v", -1): rep.v.conj().T,
+    }
+    c = {gen: np.zeros((rep.dim, rep.dim), dtype=complex) for gen in "uv"}
     for word, coeff in element.terms.items():
-        steps = []
-        for gen, power in word.syllables:
-            letter, k = (gen, 1 if power > 0 else -1), abs(power)
-            if k == 1:
-                steps.append((letter, None, 1))
-                continue
-            table = tables[letter]
-            t = len(table) - 1
-            steps.extend([(letter, table, t)] * (k // t))
-            if k % t:
-                steps.append((letter, table, k % t))
+        letters = word.letters
         rows = [coeff * left.conj()]
-        for letter, table, n in steps[:-1]:
-            rows.append(rows[-1] @ (images[letter] if table is None else table[n]))
+        for letter in letters[:-1]:
+            rows.append(rows[-1] @ images[letter])
         col = right
-        for (letter, table, n), row in zip(reversed(steps), reversed(rows)):
-            if table is None:
-                pieces[letter][0].append(col)
-                pieces[letter][1].append(row)
-                col = images[letter] @ col
-                continue
-            chunk_cols = table[n::-1] @ col
-            piece = chunk_cols[1:].T @ (row @ table[:n])
-            total = chunk_sums[letter]
-            chunk_sums[letter] = piece if total is None else total + piece
-            col = chunk_cols[0]
-
-    def summed(letter):
-        cols, rows = pieces[letter]
-        total = np.reshape(cols, (-1, rep.dim)).T @ np.reshape(rows, (-1, rep.dim))
-        if chunk_sums[letter] is not None:
-            total = total + chunk_sums[letter]
-        return total
-
-    def direction(gen):
-        c = images[(gen, 1)] @ summed((gen, 1)) - summed((gen, -1)) @ images[(gen, -1)]
-        return 0.5j * (c - c.conj().T)
-
-    return direction("u"), direction("v")
+        for (gen, sign), row in zip(reversed(letters), reversed(rows)):
+            piece = np.outer(col, row)
+            if sign > 0:
+                c[gen] += images[(gen, 1)] @ piece
+            else:
+                c[gen] -= piece @ images[(gen, -1)]
+            col = images[(gen, sign)] @ col
+    return tuple(0.5j * (c[gen] - c[gen].conj().T) for gen in "uv")
 
 
-def test_subgradient_skipping_empty_letter_kinds_is_bitwise_the_reference():
-    """Compared as bytes, so signed zeros count too. The elements cover
-    every letter kind both with and without single-letter pieces; real
-    images make exact zeros, where a chunk sum's -0.0 must become +0.0."""
+def test_subgradient_matches_the_letter_by_letter_definition():
+    """Syllables of both signs up to two tables long, mixed-sign words and
+    real pairs, with each generator's table as the objective builds it and
+    cut to t = 1 and t = 3 rows past the identity, so every chunk length
+    and a single letter as a chunk of one are walked."""
     elements = [
-        parse_element("u^2 - v^3"),  # no single letter
+        generator(gen, sign) ** k
+        for gen in "uv"
+        for sign in (1, -1)
+        for k in (1, 2, 63, 64, 65, 130)
+    ]
+    elements += [
+        parse_element("u^2 - v^3"),
         parse_element("u^2*v^-3 + (0.5-1i)*v^5*u^-7"),
-        parse_element("u*v^2 - 2i*u^-3*v^-1 + 0.25"),  # single u and v^-1 only
-        parse_element("(1-2i)*u^-1*v^3*u^-1 + v*u^-5"),  # single u^-1 and v only
+        parse_element("u*v^2 - 2i*u^-3*v^-1 + 0.25"),
+        parse_element("(1-2i)*u^-1*v^3*u^-1 + v*u^-5"),
+        parse_element("u^3*v^-2*u^-1*v^65 - 2i*u^-64*v*u^130 + (0.5+1i)*v^-63*u^2"),
     ]
     for seed in range(6):
         rng = np.random.default_rng(seed)
         elements += [_long_word_element(seed), _syllable_element(rng), _letter_word_element(rng)]
-    kinds = [
-        {(g, p) for w in e.terms for g, p in w.syllables if abs(p) == 1} for e in elements
-    ]
-    for letter in (("u", 1), ("u", -1), ("v", 1), ("v", -1)):
-        assert any(letter in k for k in kinds) and any(letter not in k for k in kinds)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     real_pairs = [
         Representation(swap, np.diag([-1.0 + 0j, 1.0])),
@@ -914,11 +900,22 @@ def test_subgradient_skipping_empty_letter_kinds_is_bitwise_the_reference():
         reps = [random_constrained(dim, 4.0, seed=(index, dim)) for dim in (1, 2, 4)]
         for rep in reps + real_pairs:
             _, left, right, tables = optimize._objective(element, rep)
-            got = optimize._subgradient(element, rep, left, right, tables)
-            want = _reference_subgradient(element, rep, left, right, tables)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
-                assert g.tobytes() == w.tobytes()
+            want = _definition_subgradient(element, rep, left, right)
+            for t in (None, 1, 3):
+                cut = tables if t is None else {gen: T[:t + 1] for gen, T in tables.items()}
+                got = optimize._subgradient(element, rep, left, right, cut)
+                for g, w in zip(got, want):
+                    assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.linalg.norm(w))
+
+
+def test_power_tables_keep_one_table_per_generator():
+    # u^-64 reads u's table by adjoint: no second table for the inverse letter.
+    element = parse_element("u^64*v^-64 + u*v")
+    tables = power_tables(random_constrained(32, 4.0, seed=4), element)
+    assert set(tables) == {"u", "v"}
+    assert sum(table.nbytes for table in tables.values()) == 2 * 65 * 32**2 * 16
+    single = power_tables(random_constrained(2, 4.0, seed=4), parse_element("u*v^-1 + 2"))
+    assert [len(table) for table in single.values()] == [2, 2]
 
 
 def test_one_subgradient_of_a_long_word_is_small():
@@ -1107,9 +1104,9 @@ def test_new_element_scan_builds_the_grid_in_row_blocks():
 
 
 def test_scan_at_the_term_cap_builds_the_left_factor_per_block():
-    # 2048 words u^a*v^b: the antidiagonal's complex 720 x terms arrays
-    # trace about 47 MB; a whole 720 x terms left factor beside the right
-    # one traced 71 MB.
+    # 2048 words u^a*v^b: the right factor, exponentiated in place, and its
+    # real exponent trace about 36 MB. The antidiagonal built whole traced
+    # 47 MB, and a whole 720 x terms left factor beside the right one 71 MB.
     rng = np.random.default_rng(3)
     words = [Word([("u", a), ("v", b)]) for a in range(1, 33) for b in range(-32, 33) if b]
     element = GroupRingElement({w: complex(*rng.uniform(-1.0, 1.0, 2)) for w in words[:MAX_TERMS]})
@@ -1120,7 +1117,7 @@ def test_scan_at_the_term_cap_builds_the_left_factor_per_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 56e6, peak
+    assert peak < 40e6, peak
 
 
 def test_one_dim_oracle_checks_its_arguments():
