@@ -298,5 +298,5 @@ def character_path(rep, which, t):
             x = z.real
             return -t * x + 1j * np.sqrt(np.maximum(0.0, 1.0 - t * t * x * x))
 
-        return apply_circle_function(rep.v, fn), apply_circle_function(rep.u, fn)
+        return tuple(apply_circle_function(np.stack((rep.v, rep.u)), fn))
     raise ValueError(f"unknown path {which!r}; expected one of {CHARACTER_PATHS}")

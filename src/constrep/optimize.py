@@ -88,7 +88,6 @@ from .linalg import (
     MAX_DIM,
     NonUnitaryError,
     UNITARY_TOL,
-    SpectralDecomposition,
     top_singular_triple,
     unitarity_defect,
     unitary_exponential,
@@ -199,11 +198,13 @@ def _check_element(element):
 class NormEstimate:
     """Certified bracket [value, upper] for one element and level.
 
-    ``value`` equals the computed operator norm of the witness image, and
-    ``dim_used`` is the witness's dimension; ``upper`` is
-    :func:`upper_bound` of the element; ``restart_index`` is
-    the index of the winning start in the deterministic candidate order
-    (radial peak or oracle argmax, pool entries, fresh starts).
+    ``value`` equals ``operator_norm(evaluate(witness, element))`` bit for
+    bit at every dimension: the ascent scores a pair by the sigma of
+    ``top_singular_triple``, which ``operator_norm`` returns (at d = 1 by
+    the scalar rule ``evaluate`` applies). ``dim_used`` is the witness's
+    dimension; ``upper`` is :func:`upper_bound` of the element;
+    ``restart_index`` is the index of the winning start in the deterministic
+    candidate order (radial peak or oracle argmax, pool entries, fresh starts).
     ``converged`` is true when the winning start stalled or the bracket
     closed. ``constraint`` is ``constraint_value`` of the witness, so a
     later level mu tests the witness's feasibility as ``constraint <= mu``.
@@ -458,7 +459,8 @@ def _objective(element, rep):
 
 
 def _subgradient(element, rep, left, right, tables):
-    """Hermitian ascent directions (G_u, G_v) for the top singular value.
+    """Hermitian ascent directions for the top singular value, as one stack
+    G = (G_u, G_v) of shape (2, d, d).
 
     Letter i of a word with coefficient c gives the rank-one piece
     P = c * b_i a_i^*, with a_i^* = left^* (letters before i) and
@@ -476,7 +478,8 @@ def _subgradient(element, rep, left, right, tables):
     which are a forward chunk's with row b^* and column a. Each chunk's
     pieces are summed as one product.
     """
-    sums = {gen: np.zeros((rep.dim, rep.dim), dtype=complex) for gen in "uv"}
+    stacked = np.zeros((2, rep.dim, rep.dim), dtype=complex)
+    sums = dict(zip("uv", stacked))  # views: a sum added to in place is its slice
     for word, coeff in element.terms.items():
         # (gen, n, sign): a chunk of n letters of gen^sign.
         steps = []
@@ -498,17 +501,18 @@ def _subgradient(element, rep, left, right, tables):
             else:
                 sums[gen] += (table[:n] @ row.conj()).T @ (col.conj() @ table[n - 1::-1])
                 col = table[n].conj().T @ col
-    products = (tables[gen][1] @ sums[gen] for gen in "uv")
-    return tuple(0.5j * (c - c.conj().T) for c in products)
+    c = np.stack((rep.u, rep.v)) @ stacked
+    return 0.5j * (c - c.conj().swapaxes(-1, -2))
 
 
 def _matrix_moves(element, mu):
     """(score, direction, propose, next_step) of the ascent on pairs of d x d unitaries.
 
     score(pair) is (value, point) with point = (pair, left, right, tables);
-    direction(point) is the eigendecompositions of G_u/s and G_v/s, or None
-    when s = ||(G_u, G_v)|| is below the floor; propose(point, direction,
-    step) is the pair (exp(i step G_u/s) U, exp(i step G_v/s) V), retracted;
+    direction(point) is ``np.linalg.eigh`` of the stack G/s = (G_u, G_v)/s,
+    or None when s = ||(G_u, G_v)|| is below the floor; propose(point,
+    direction, step) is the pair (exp(i step G_u/s) U, exp(i step G_v/s) V),
+    from one exponential of the stack, retracted;
     next_step(step, accepted) is step * ``_STEP_DECAY`` either way.
     """
 
@@ -517,25 +521,19 @@ def _matrix_moves(element, mu):
         return value, (rep, left, right, tables)
 
     def direction(point):
-        g_u, g_v = _subgradient(element, *point)
-        scale = float(np.sqrt(np.linalg.norm(g_u) ** 2 + np.linalg.norm(g_v) ** 2))
+        g = _subgradient(element, *point)
+        scale = float(np.sqrt(np.linalg.norm(g[0]) ** 2 + np.linalg.norm(g[1]) ** 2))
         if scale < _GRADIENT_FLOOR:
             return None
         # G is (i/2)(C - C*), Hermitian to the last bit, so it goes to eigh
         # as it is, with no check or symmetrization.
-        return (
-            SpectralDecomposition(*np.linalg.eigh(g_u / scale)),
-            SpectralDecomposition(*np.linalg.eigh(g_v / scale)),
-        )
+        return np.linalg.eigh(g / scale)
 
     def propose(point, direction, step):
-        rep, (dec_u, dec_v) = point[0], direction
+        rep = point[0]
         # Products of unitaries: validated once, on the estimate's witness.
-        proposal = Representation._unchecked(
-            unitary_exponential(dec_u, step) @ rep.u,
-            unitary_exponential(dec_v, step) @ rep.v,
-        )
-        return retract_to(proposal, mu)
+        u, v = unitary_exponential(direction, step) @ np.stack((rep.u, rep.v))
+        return retract_to(Representation._unchecked(u, v), mu)
 
     def next_step(step, accepted):
         return step * _STEP_DECAY

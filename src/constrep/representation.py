@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freegroup import GroupRingElement
-from .homotopy import upper_fold_matrix
+from .homotopy import generator_sum, upper_fold_matrix
 from .linalg import (
     NonUnitaryError,
     UNITARY_TOL,
@@ -213,8 +213,7 @@ def constraint_value(rep):
     """
     if rep.u.shape == (1, 1):
         return character_level(complex(rep.u[0, 0]), complex(rep.v[0, 0]))
-    x = rep.u + rep.u.conj().T + rep.v + rep.v.conj().T
-    eigenvalues = np.linalg.eigvalsh(x)
+    eigenvalues = np.linalg.eigvalsh(generator_sum(rep.u, rep.v))
     # max keeps its first argument on a tie, so a level-zero pair reads +0.0.
     return min(max(0.0, float(eigenvalues[-1]), -float(eigenvalues[0])), 4.0)
 
@@ -244,7 +243,7 @@ def deformation_function(t):
 
 
 def deform(rep, t):
-    """Apply the spectral deformation to both generator images.
+    """Apply the spectral deformation to both generator images, in one call.
 
     Scales the constraint value by exactly (1 - t): the deformed image of
     each generator satisfies g(W) + g(W)* = (1-t)(W + W*). The images are
@@ -255,13 +254,10 @@ def deform(rep, t):
     which is skew-Hermitian in floating point, so the images' sum with
     their adjoints, and the constraint value, are exactly 0.
     """
-    fn = deformation_function(t)
-    u = apply_circle_function(rep.u, fn)
-    v = apply_circle_function(rep.v, fn)
+    w = apply_circle_function(np.stack((rep.u, rep.v)), deformation_function(t))
     if t == 1.0:
-        u = (u - u.conj().T) / 2.0
-        v = (v - v.conj().T) / 2.0
-    return Representation._unchecked(u, v)
+        w = (w - w.conj().swapaxes(-1, -2)) / 2.0
+    return Representation._unchecked(*w)
 
 
 def retract_to(rep, mu):

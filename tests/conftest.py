@@ -22,9 +22,9 @@ settings.load_profile("constrep")
 
 def loop_calculus(w, fn):
     """g(W) for unitary W, calling the scalar ``fn`` once per eigenvalue."""
-    dec = unitary_eig(w)
-    values = np.array([complex(fn(complex(z))) for z in dec.eigenvalues])
-    return (dec.vectors * values) @ dec.vectors.conj().T
+    eigenvalues, vectors = unitary_eig(w)
+    values = np.array([complex(fn(complex(z))) for z in eigenvalues])
+    return (vectors * values) @ vectors.conj().T
 
 
 def character(theta, phi):

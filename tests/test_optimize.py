@@ -23,7 +23,6 @@ from constrep.freegroup import (
 from constrep.linalg import (
     MAX_DIM,
     NonUnitaryError,
-    SpectralDecomposition,
     operator_norm,
     unitary_exponential,
 )
@@ -120,7 +119,7 @@ def _long_word_element(seed):
 
 def _exponential(h, scale):
     """exp(i * scale * H) for Hermitian H, decomposed as the ascent does."""
-    return unitary_exponential(SpectralDecomposition(*np.linalg.eigh(h)), scale)
+    return unitary_exponential(np.linalg.eigh(h), scale)
 
 
 def _check_gradient_by_finite_differences(element, rep, eps=1e-6):
@@ -564,13 +563,18 @@ def test_torus_ascent_stops_where_the_scalar_image_vanishes():
     assert optimize._ascend(element, 2.0, start, config) == (0.0, start, 1, True)
 
 
-def test_one_dimensional_winner_is_its_recomputed_norm():
-    config = OptimizerConfig(dims=(1,), restarts=2, max_steps=60)
+@pytest.mark.parametrize(
+    "dims, restarts, max_steps", [((1,), 2, 60), ((2, 4), 1, 20)], ids=["d1", "d2-4"]
+)
+def test_winner_is_its_recomputed_norm(dims, restarts, max_steps):
+    # At d >= 2 the value is the sigma of the winner's SVD, and operator_norm
+    # reads the same SVD, so the recomputed norm is the same float.
+    config = OptimizerConfig(dims=dims, restarts=restarts, max_steps=max_steps)
     stepped = 0
     for seed in range(12):
         element = _syllable_element(np.random.default_rng(seed))
         result = estimate_norm(element, (0.5, 1.5, 2.5, 3.5)[seed % 4], config)
-        assert result.dim_used == 1
+        assert result.dim_used in dims
         assert operator_norm(evaluate(result.witness, element)) == result.value
         stepped += result.steps > 0
     assert stepped >= 6

@@ -221,15 +221,20 @@ def test_retract_lands_on_target_with_eigenvalues_at_plus_minus_one(mu):
     assert max(unitarity_defect(pulled.u), unitarity_defect(pulled.v)) < 1e-12
 
 
+def _plus_minus_one_pair(d):
+    """A d x d pair with eigenvalues at +-1, where the circle map has its
+    kinks; the second image shares no eigenbasis with the first."""
+    q = random_unitary(d, seed=5)
+    u = q @ np.diag(np.resize([1, -1, 1, -1, 1j, -1j], d)) @ q.conj().T
+    r = random_unitary(d, seed=6)
+    v = r @ np.diag(np.resize([1, 1, -1, -1, -1, np.exp(0.4j)], d)) @ r.conj().T
+    return Representation(u, v)
+
+
 def test_deform_keeps_unitarity_with_eigenvalues_at_plus_minus_one():
     # deform has no repair step, so its eigendecomposition alone must keep
-    # eigenvalues exactly at +-1 (where the circle map has its kinks) on the
-    # circle; the second image shares no eigenbasis with the first
-    q = random_unitary(6, seed=5)
-    u = q @ np.diag([1, -1, 1, -1, 1j, -1j]) @ q.conj().T
-    r = random_unitary(6, seed=6)
-    v = r @ np.diag([1, 1, -1, -1, -1, np.exp(0.4j)]) @ r.conj().T
-    rep = Representation(u, v)
+    # eigenvalues exactly at +-1 on the circle
+    rep = _plus_minus_one_pair(6)
     base = _sum_matrix(rep)
     for t in (0.0, 0.3, 0.7, 1.0):
         moved = deform(rep, t)
@@ -238,6 +243,35 @@ def test_deform_keeps_unitarity_with_eigenvalues_at_plus_minus_one():
     assert constraint_value(rep) > 2.0
     for mu in (0.0, 1.0, 2.0):
         assert abs(constraint_value(retract_to(rep, mu)) - mu) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_stacked_spectral_calls_equal_single_calls(d):
+    # deform and the ascent decompose both images of a pair in one call; each
+    # result must be the per-matrix call's bit for bit. A U whose eigenvalues
+    # come in conjugate pairs makes V = fold(U) repeat each eigenvalue, so
+    # both run the cluster loop.
+    phases = np.exp(1j * np.random.default_rng(d).uniform(0.1, 3.0, d // 2))
+    q = random_unitary(d, seed=d)
+    folded = zero_constrained_from(q @ np.diag(np.concatenate([phases, phases.conj()])) @ q.conj().T)
+    assert len(np.unique(np.round(np.linalg.eigvalsh(folded.v + folded.v.conj().T), 8))) < d
+    for rep in (random_constrained(d, 4.0, seed=d), folded, _plus_minus_one_pair(d)):
+        pair = (rep.u, rep.v)
+        values, vectors = linalg.unitary_eig(np.stack(pair))
+        for k, w in enumerate(pair):
+            one_values, one_vectors = linalg.unitary_eig(w)
+            assert np.array_equal(values[k], one_values)
+            assert np.array_equal(vectors[k], one_vectors)
+        for t in (0.3, 1.0):
+            fn = deformation_function(t)
+            stacked = linalg.apply_circle_function(np.stack(pair), fn)
+            for k, w in enumerate(pair):
+                assert np.array_equal(stacked[k], linalg.apply_circle_function(w, fn))
+        hermitian = np.stack([w + w.conj().T for w in pair])
+        stacked = linalg.unitary_exponential(np.linalg.eigh(hermitian), 0.37)
+        for k, h in enumerate(hermitian):
+            assert np.array_equal(stacked[k], linalg.unitary_exponential(np.linalg.eigh(h), 0.37))
+        assert _is_positive_zero(constraint_value(deform(rep, 1.0)))
 
 
 def test_validation_accepts_transposed_views():
